@@ -1,10 +1,10 @@
 //! A tiny deterministic JSON tree for obs and profile outputs.
 //!
-//! The build environment vendors no serde, so like the sweep artifacts
-//! this is hand-rolled: object keys keep insertion order, floats go
-//! through Rust's shortest-round-trip formatter (non-finite becomes
-//! `null`), and strings are escaped the same way `sweep.json` escapes
-//! them — equal trees serialize to identical bytes.
+//! The build environment vendors no serde, so this is hand-rolled:
+//! object keys keep insertion order, floats go through Rust's
+//! shortest-round-trip formatter (non-finite becomes `null`), and
+//! strings are escaped here for every JSON artifact, `sweep.json`'s
+//! cells included — equal trees serialize to identical bytes.
 
 use std::fmt::Write as _;
 
@@ -59,7 +59,8 @@ impl Value {
         out
     }
 
-    fn write_inline(&self, out: &mut String) {
+    /// Appends [`Value::to_json_inline`]'s form to `out`.
+    pub fn write_inline(&self, out: &mut String) {
         match self {
             Value::Arr(items) => {
                 out.push('[');

@@ -383,26 +383,18 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     Ok(args)
 }
 
-/// Writes the final campaign artifacts (sweep + leakage when present)
-/// atomically into `out`, returning the paths written. Every artifact
-/// write in this binary goes through [`write_atomic`] — a crash leaves
-/// either the old bytes or the new bytes, never a torn file.
-fn write_report_artifacts(
-    out: &std::path::Path,
-    report: &SweepReport,
-) -> Result<Vec<std::path::PathBuf>, String> {
-    let mut pairs = vec![("sweep.json", report.to_json()), ("sweep.csv", report.to_csv())];
-    if report.has_leakage() {
-        pairs.push(("leakage.json", report.leakage_json()));
-        pairs.push(("leakage.csv", report.leakage_csv()));
-    }
-    let mut wrote = Vec::with_capacity(pairs.len());
-    for (name, body) in pairs {
+/// Writes the report's artifact files atomically into `out` and returns
+/// the `wrote ...` line naming them. Every artifact write in this binary
+/// goes through [`write_atomic`] — a crash leaves either the old bytes or
+/// the new bytes, never a torn file.
+fn write_report_artifacts(out: &std::path::Path, report: &SweepReport) -> Result<String, String> {
+    let mut wrote = Vec::new();
+    for (name, body) in report.artifacts() {
         let path = out.join(name);
         write_atomic(&path, body).map_err(|e| format!("writing {}: {e}", path.display()))?;
-        wrote.push(path);
+        wrote.push(path.display().to_string());
     }
-    Ok(wrote)
+    Ok(format!("wrote {}", wrote.join(", ")))
 }
 
 /// Validates the output directory *before* running anything: hours of
@@ -590,10 +582,7 @@ fn main() -> ExitCode {
         report.results.iter().filter(|r| r.is_leakage()).count(),
         report.results.iter().filter(|r| r.leaked.is_none() && !r.is_leakage()).count(),
     );
-    println!(
-        "wrote {}",
-        wrote.iter().map(|p| p.display().to_string()).collect::<Vec<_>>().join(", ")
-    );
+    println!("{wrote}");
 
     // The obs/trace flags conflict with --shard-size/--resume at parse
     // time, so `obs` is always present on these paths.
@@ -779,14 +768,7 @@ mod subcmd {
                 match write_report_artifacts(&wargs.dir, &report) {
                     Ok(wrote) => {
                         if !quiet {
-                            println!(
-                                "wrote {}",
-                                wrote
-                                    .iter()
-                                    .map(|p| p.display().to_string())
-                                    .collect::<Vec<_>>()
-                                    .join(", ")
-                            );
+                            println!("{wrote}");
                         }
                         ExitCode::SUCCESS
                     }
@@ -978,14 +960,7 @@ mod subcmd {
                 eprintln!("sweep: serve: {}", summary.render());
                 match write_report_artifacts(&sargs.dir, &report) {
                     Ok(wrote) => {
-                        println!(
-                            "wrote {}",
-                            wrote
-                                .iter()
-                                .map(|p| p.display().to_string())
-                                .collect::<Vec<_>>()
-                                .join(", ")
-                        );
+                        println!("{wrote}");
                         ExitCode::SUCCESS
                     }
                     Err(e) => {

@@ -7,7 +7,8 @@
 //! <dir>/campaign.manifest      identity: grid spec, seed, shard size
 //! <dir>/shards/shard-*.psd     one checksummed artifact per shard
 //! <dir>/quarantine/            shards that failed validation on resume
-//! <dir>/sweep.json, sweep.csv  final artifacts (written by the CLI)
+//! <dir>/sweep.json, sweep.csv  final artifacts, plus leakage.json and
+//!                              leakage.csv when present (written by the CLI)
 //! ```
 //!
 //! [`run_sharded`] writes the manifest first (atomically), then runs
@@ -24,10 +25,11 @@
 //!
 //! Three properties compose: (1) each scenario's seed derives from
 //! `(campaign_seed, index, seed_slot)` alone, so a re-run of any range
-//! reproduces the original results bit for bit; (2) shard records
-//! serialize floats by exact bits, so a *loaded* result equals the
-//! *computed* one; (3) the final artifacts are pure functions of the
-//! results in index order. An interrupted-and-resumed campaign
+//! reproduces the original results bit for bit; (2) a shard record is
+//! the result's `sweep.csv` row with every float written as its exact
+//! bits, so a *loaded* result equals the *computed* one; (3) the final
+//! artifacts are pure functions of the results in index order, written
+//! from the same column table as the shard records. An interrupted-and-resumed campaign
 //! therefore emits byte-identical `sweep.json`/`sweep.csv`/leakage
 //! artifacts to an uninterrupted single-process run — the invariant the
 //! crash-resume tests and the CI smoke step enforce with `cmp`.
@@ -44,10 +46,11 @@ use prefender_obs::{
 
 use prefender_leakage::ResampleOptions;
 
-use crate::artifact::{SweepReport, REPORT_SCHEMA_VERSION};
+use crate::artifact::SweepReport;
 use crate::engine::{parallel_map, SweepOptions};
 use crate::grid::SweepGrid;
-use crate::scenario::{run_scenario_with, Scenario, ScenarioResult};
+use crate::record::{ScenarioResult, REPORT_SCHEMA_VERSION};
+use crate::scenario::{run_scenario_with, Scenario};
 use crate::shard::{decode_shard, encode_shard, fnv1a64, shard_file_name, ShardHeader, ShardPlan};
 
 /// Manifest file name inside a campaign directory.
@@ -463,6 +466,7 @@ pub(crate) fn sweep_stale_tmps(shard_dir: &Path) {
 mod tests {
     use super::*;
     use crate::engine::run_sweep;
+    use crate::fixture::V1_SHARD;
 
     fn scratch(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("prefender-ckpt-{tag}-{}", std::process::id()));
@@ -632,6 +636,27 @@ mod tests {
         assert_eq!(resumed, reference);
         assert_eq!(stats.skipped, 1);
         assert_eq!(stats.executed, 2);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn v1_shards_are_quarantined_and_rerun() {
+        // The fixture's v1 shard was written for exactly this campaign:
+        // it checksums and its header matches, but its records are in the
+        // old layout, so decode must refuse it by magic, never parse it.
+        let _g = crate::testgate::FAILPOINT_GATE.lock().unwrap_or_else(|e| e.into_inner());
+        let dir = scratch("v1");
+        let grid = small_grid();
+        let opts = SweepOptions { threads: 1, campaign_seed: 7 };
+        run_sharded(&dir, &grid, &opts, 2).unwrap();
+        let manifest = load_manifest(&dir).unwrap();
+        let header = shard_header(&manifest, manifest.fingerprint(), 0);
+        assert_eq!(decode_shard(V1_SHARD, &header).unwrap_err(), "bad magic");
+        fs::write(dir.join(SHARD_DIR).join(shard_file_name(0)), V1_SHARD).unwrap();
+        let (resumed, _, stats) = resume_sharded(&dir, 1).unwrap();
+        assert_eq!(stats.quarantined, vec![(0, "bad magic".to_string())]);
+        assert_eq!((stats.skipped, stats.executed), (2, 1));
+        assert_eq!(resumed.artifacts(), run_sweep(&grid, &opts).artifacts());
         fs::remove_dir_all(&dir).unwrap();
     }
 

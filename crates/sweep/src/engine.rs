@@ -8,7 +8,8 @@ use prefender_obs::{ObsCounters, TraceBuf, Value};
 
 use crate::artifact::SweepReport;
 use crate::grid::SweepGrid;
-use crate::scenario::{run_scenario_with_obs, Scenario, ScenarioResult};
+use crate::record::ScenarioResult;
+use crate::scenario::{run_scenario_with_obs, Scenario};
 
 /// Campaign-level execution options.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -63,7 +63,7 @@ use crate::checkpoint::{
     io_err, load_manifest, quarantine, run_shard_range, shard_header, sweep_stale_tmps,
     CampaignError, Manifest, SHARD_DIR,
 };
-use crate::scenario::ScenarioResult;
+use crate::record::ScenarioResult;
 use crate::shard::{decode_shard, encode_shard, fnv1a64, shard_file_name, ShardHeader};
 
 /// Subdirectory holding shard lease files and break tombstones.

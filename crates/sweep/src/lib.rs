@@ -40,12 +40,13 @@ mod engine;
 mod grid;
 mod lease;
 pub mod perf;
+mod record;
 mod scenario;
 #[cfg(unix)]
 mod serve;
 mod shard;
 
-pub use artifact::{SweepReport, REPORT_SCHEMA_VERSION};
+pub use artifact::SweepReport;
 pub use checkpoint::{
     init_campaign, load_manifest, resume_sharded, run_sharded, CampaignError, Manifest,
     ResumeStats, MANIFEST_NAME, QUARANTINE_DIR, SHARD_DIR,
@@ -59,9 +60,9 @@ pub use lease::{
     claim_shard, lease_file_name, work_campaign, Claim, Heartbeat, Lease, LeaseConfig, LeaseInfo,
     WorkEvent, WorkOptions, WorkSummary, LEASE_DIR,
 };
+pub use record::{ScenarioResult, REPORT_SCHEMA_VERSION};
 pub use scenario::{
     basic_tag, run_scenario, run_scenario_with, run_scenario_with_obs, Payload, Scenario,
-    ScenarioResult,
 };
 #[cfg(unix)]
 pub use serve::{
@@ -76,6 +77,10 @@ pub use shard::{
 // crate.
 pub use prefender_attacks::{AttackKind, Basic, DefenseConfig, NoiseSpec};
 pub use prefender_leakage::{NullTest, ResampleOptions};
+
+#[cfg(test)]
+#[path = "../tests/fixture/mod.rs"]
+mod fixture;
 
 /// Failpoints are process-global; tests across this crate's modules
 /// that arm them serialize on this gate.

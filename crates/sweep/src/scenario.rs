@@ -1,4 +1,4 @@
-//! Scenarios: one grid point, its execution, and its result record.
+//! Scenarios: one grid point and its execution.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -12,6 +12,7 @@ use prefender_stats::derive_seed;
 use prefender_workloads::Workload;
 
 use crate::grid::{AttackCase, DefensePoint, Hierarchy};
+use crate::record::ScenarioResult;
 
 /// What a scenario runs: an attack experiment, a performance workload, or
 /// a leakage campaign.
@@ -156,88 +157,6 @@ pub fn basic_from_tag(tag: &str) -> Option<Basic> {
     Basic::ALL.into_iter().find(|&b| basic_tag(b) == tag)
 }
 
-/// The measurements of one executed scenario.
-///
-/// Attack scenarios fill the security fields (`leaked`, `anomalies`,
-/// `latency_hist`); performance scenarios leave them `None`/empty;
-/// leakage scenarios fill the channel fields (`mi_bits` …
-/// `guessing_entropy`, `secrets`, `trials`) with machine-level fields
-/// summed over the whole campaign. All fill the machine-level fields.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScenarioResult {
-    /// Scenario index in the campaign work-list.
-    pub index: usize,
-    /// Stable scenario id.
-    pub id: String,
-    /// The probe seed the scenario actually ran with.
-    pub seed: u64,
-    /// Leak verdict (attack scenarios only).
-    pub leaked: Option<bool>,
-    /// Number of anomalous probe indices (attack scenarios only).
-    pub anomalies: Option<u64>,
-    /// Exact probe-latency histogram: `latency → count` (attack only).
-    pub latency_hist: Vec<(u64, u64)>,
-    /// `true` when the run hit the instruction cap before completing.
-    pub truncated: bool,
-    /// Wall-clock cycles.
-    pub cycles: u64,
-    /// Instructions retired across all cores.
-    pub instructions: u64,
-    /// Instructions per cycle.
-    pub ipc: f64,
-    /// L1D demand accesses, summed over cores.
-    pub demand_accesses: u64,
-    /// L1D demand misses, summed over cores.
-    pub demand_misses: u64,
-    /// Total L1D demand-miss latency in cycles (the Figure 10 quantity).
-    pub demand_miss_latency: u64,
-    /// Prefetches issued by every attached prefetcher.
-    pub prefetch_issued: u64,
-    /// Prefetched lines actually installed in the L1D.
-    pub prefetch_fills: u64,
-    /// Prefetched lines that served a later demand access.
-    pub prefetch_useful: u64,
-    /// Useful/installed prefetch ratio, when any fills happened.
-    pub prefetch_accuracy: Option<f64>,
-    /// Scale Tracker prefetches (PREFENDER configurations).
-    pub st_prefetches: u64,
-    /// Access Tracker prefetches.
-    pub at_prefetches: u64,
-    /// Record-Protector-guided prefetches.
-    pub rp_prefetches: u64,
-    /// Mutual information `I(secret; observation)` in bits (leakage only).
-    pub mi_bits: Option<f64>,
-    /// Miller–Madow bias-corrected MI in bits (leakage only).
-    pub mi_corrected: Option<f64>,
-    /// Blahut–Arimoto channel capacity in bits (leakage only).
-    pub capacity_bits: Option<f64>,
-    /// Max-likelihood attacker accuracy (leakage only).
-    pub ml_accuracy: Option<f64>,
-    /// Expected posterior rank of the true secret (leakage only).
-    pub guessing_entropy: Option<f64>,
-    /// Secrets swept (leakage only).
-    pub secrets: Option<u64>,
-    /// Trials per secret (leakage only).
-    pub trials: Option<u64>,
-    /// Permutation p-value of the MI against its label-shuffled null
-    /// (leakage campaigns run with `--permutations`, else `None`).
-    pub mi_p_value: Option<f64>,
-    /// 95th percentile of the null MI distribution — the estimator's
-    /// noise floor (leakage with `--permutations` only).
-    pub mi_null_q95: Option<f64>,
-    /// Bootstrap CI lower bound on the MI (leakage with `--bootstrap`).
-    pub mi_ci_lo: Option<f64>,
-    /// Bootstrap CI upper bound on the MI (leakage with `--bootstrap`).
-    pub mi_ci_hi: Option<f64>,
-}
-
-impl ScenarioResult {
-    /// `true` when this row is a leakage-campaign result.
-    pub fn is_leakage(&self) -> bool {
-        self.mi_bits.is_some()
-    }
-}
-
 /// Runs one scenario to completion without any resampling analysis.
 /// Equivalent to [`run_scenario_with`] at default (disabled)
 /// [`ResampleOptions`].
@@ -361,26 +280,7 @@ fn run_leakage_scenario(
     })
     .unwrap_or_else(|e| panic!("scenario {}: {e}", s.id()));
     ScenarioResult {
-        index: s.index,
-        id: s.id(),
-        seed,
-        leaked: None,
-        anomalies: None,
         latency_hist: r.latency_hist.counts().collect(),
-        truncated: false,
-        cycles: r.metrics.cycles,
-        instructions: r.metrics.instructions,
-        ipc: r.metrics.ipc(),
-        demand_accesses: r.metrics.l1d.demand_accesses,
-        demand_misses: r.metrics.l1d.demand_misses,
-        demand_miss_latency: r.metrics.l1d.demand_miss_latency,
-        prefetch_issued: r.metrics.prefetch_issued,
-        prefetch_fills: r.metrics.l1d.prefetch_fills,
-        prefetch_useful: r.metrics.l1d.prefetch_useful + r.metrics.l1d.prefetch_late,
-        prefetch_accuracy: r.metrics.l1d.prefetch_accuracy(),
-        st_prefetches: r.metrics.prefender.st_prefetches,
-        at_prefetches: r.metrics.prefender.at_prefetches,
-        rp_prefetches: r.metrics.prefender.rp_prefetches,
         mi_bits: Some(r.mi_bits),
         mi_corrected: Some(r.mi_corrected),
         capacity_bits: Some(r.capacity_bits),
@@ -392,6 +292,7 @@ fn run_leakage_scenario(
         mi_null_q95: r.mi_null.as_ref().map(|n| n.null_q95_bits),
         mi_ci_lo: r.mi_ci.map(|(lo, _)| lo),
         mi_ci_hi: r.mi_ci.map(|(_, hi)| hi),
+        ..ScenarioResult::from_metrics(s, seed, &r.metrics)
     }
 }
 
@@ -436,37 +337,10 @@ fn run_attack_scenario(s: &Scenario, case: &AttackCase, seed: u64) -> ScenarioRe
         *hist.entry(p.latency).or_insert(0) += 1;
     }
     ScenarioResult {
-        index: s.index,
-        id: s.id(),
-        seed,
         leaked: Some(outcome.leaked),
         anomalies: Some(outcome.anomalies.len() as u64),
         latency_hist: hist.into_iter().collect(),
-        truncated: false,
-        cycles: metrics.cycles,
-        instructions: metrics.instructions,
-        ipc: metrics.ipc(),
-        demand_accesses: metrics.l1d.demand_accesses,
-        demand_misses: metrics.l1d.demand_misses,
-        demand_miss_latency: metrics.l1d.demand_miss_latency,
-        prefetch_issued: metrics.prefetch_issued,
-        prefetch_fills: metrics.l1d.prefetch_fills,
-        prefetch_useful: metrics.l1d.prefetch_useful + metrics.l1d.prefetch_late,
-        prefetch_accuracy: metrics.l1d.prefetch_accuracy(),
-        st_prefetches: metrics.prefender.st_prefetches,
-        at_prefetches: metrics.prefender.at_prefetches,
-        rp_prefetches: metrics.prefender.rp_prefetches,
-        mi_bits: None,
-        mi_corrected: None,
-        capacity_bits: None,
-        ml_accuracy: None,
-        guessing_entropy: None,
-        secrets: None,
-        trials: None,
-        mi_p_value: None,
-        mi_null_q95: None,
-        mi_ci_lo: None,
-        mi_ci_hi: None,
+        ..ScenarioResult::from_metrics(s, seed, &metrics)
     }
 }
 
@@ -488,40 +362,16 @@ fn run_workload_scenario_obs(s: &Scenario, name: &str, seed: u64) -> (ScenarioRe
     }
     w.install(&mut m);
     let summary = m.run();
-    let l1d = *m.mem().l1d(0).stats();
-    let prefender = crate::perf::prefender_stats(&m, 0).unwrap_or_default();
-    let result = ScenarioResult {
-        index: s.index,
-        id: s.id(),
-        seed,
-        leaked: None,
-        anomalies: None,
-        latency_hist: Vec::new(),
-        truncated: summary.truncated,
+    let metrics = RunMetrics {
         cycles: summary.cycles,
         instructions: summary.instructions,
-        ipc: summary.ipc(),
-        demand_accesses: l1d.demand_accesses,
-        demand_misses: l1d.demand_misses,
-        demand_miss_latency: l1d.demand_miss_latency,
+        l1d: *m.mem().l1d(0).stats(),
         prefetch_issued: m.prefetcher(0).map_or(0, |p| p.issued()),
-        prefetch_fills: l1d.prefetch_fills,
-        prefetch_useful: l1d.prefetch_useful + l1d.prefetch_late,
-        prefetch_accuracy: l1d.prefetch_accuracy(),
-        st_prefetches: prefender.st_prefetches,
-        at_prefetches: prefender.at_prefetches,
-        rp_prefetches: prefender.rp_prefetches,
-        mi_bits: None,
-        mi_corrected: None,
-        capacity_bits: None,
-        ml_accuracy: None,
-        guessing_entropy: None,
-        secrets: None,
-        trials: None,
-        mi_p_value: None,
-        mi_null_q95: None,
-        mi_ci_lo: None,
-        mi_ci_hi: None,
+        prefender: crate::perf::prefender_stats(&m, 0).unwrap_or_default(),
+    };
+    let result = ScenarioResult {
+        truncated: summary.truncated,
+        ..ScenarioResult::from_metrics(s, seed, &metrics)
     };
     (result, machine_obs(&m))
 }

@@ -15,7 +15,7 @@
 //! Text, newline-terminated lines:
 //!
 //! ```text
-//! PSHARD v1
+//! PSHARD v2
 //! shard=3 start=96 end=128 seed=12648430 fingerprint=0123456789abcdef schema=3
 //! <one record per scenario, in index order>
 //! FOOTER records=32 body=8841 fnv1a=89abcdef01234567
@@ -29,18 +29,21 @@
 //! from a different campaign — or the right campaign at a different
 //! grid — never validates.
 //!
-//! Records serialize every [`ScenarioResult`] field in declaration
-//! order, comma-separated, with floats as the exact bits of the `f64`
-//! (hex) — the round trip is bit-exact, which is what lets a resumed
-//! campaign re-emit `sweep.json` byte-identically.
+//! A record is the scenario's `sweep.csv` row — the record's column table
+//! ([`crate::record::COLUMNS`]) in order, comma-separated — with every
+//! float written as the 16-hex-digit bit pattern of the `f64` instead of
+//! its decimal. The round trip is bit-exact, which is what lets a resumed
+//! campaign re-emit `sweep.json` byte-identically. The magic's version
+//! bumps whenever the record layout changes, so a shard in another layout
+//! fails decoding and its range is re-run.
 
 use std::ops::Range;
 
-use crate::scenario::ScenarioResult;
+use crate::record::{ScenarioResult, COLUMNS, REPORT_SCHEMA_VERSION};
 
 /// Magic first line of every shard file; the version bumps if the
-/// record field set changes.
-pub const SHARD_MAGIC: &str = "PSHARD v1";
+/// record layout changes.
+pub const SHARD_MAGIC: &str = "PSHARD v2";
 
 /// FNV-1a 64-bit: the workspace-standard integrity checksum (tiny,
 /// dependency-free, good avalanche for corruption detection — not a
@@ -140,11 +143,11 @@ pub fn encode_shard(header: &ShardHeader, results: &[ScenarioResult]) -> String 
         header.end,
         header.campaign_seed,
         header.fingerprint,
-        crate::artifact::REPORT_SCHEMA_VERSION,
+        REPORT_SCHEMA_VERSION,
     ));
     for (k, r) in results.iter().enumerate() {
         assert_eq!(r.index, header.start + k, "results must be in scenario-index order");
-        out.push_str(&encode_record(r));
+        encode_record(r, &mut out);
         out.push('\n');
     }
     out.push_str(&format!(
@@ -189,11 +192,8 @@ pub fn decode_shard(text: &str, expect: &ShardHeader) -> Result<Vec<ScenarioResu
     }
     let header_kv = parse_kv(lines.next().ok_or("missing header line")?)?;
     let schema: u32 = lookup(&header_kv, "schema")?;
-    if schema != crate::artifact::REPORT_SCHEMA_VERSION {
-        return Err(format!(
-            "schema v{schema} != v{} this build writes",
-            crate::artifact::REPORT_SCHEMA_VERSION
-        ));
+    if schema != REPORT_SCHEMA_VERSION {
+        return Err(format!("schema v{schema} != v{} this build writes", REPORT_SCHEMA_VERSION));
     }
     let got = ShardHeader {
         shard: lookup(&header_kv, "shard")?,
@@ -242,259 +242,43 @@ fn lookup<T: std::str::FromStr>(kv: &[(&str, &str)], key: &str) -> Result<T, Str
 
 // --- Record codec -------------------------------------------------------
 //
-// One comma-separated line per scenario, every `ScenarioResult` field in
-// declaration order. Floats are the exact `to_bits()` hex (16 digits) —
-// `sweep.json`'s shortest-round-trip formatting then reproduces the
-// fresh run's bytes because the values themselves are bit-equal. Options
-// encode `None` as the empty field; the latency histogram nests its
-// pairs with `:` and `;` (never `,`).
+// A record is the result's `sweep.csv` row: every column of
+// `record::COLUMNS`, comma-separated, except that each float is its exact
+// `to_bits()` hex (16 digits). `sweep.json`'s shortest-round-trip
+// formatting then reproduces the fresh run's bytes, because the loaded
+// values are bit-equal to the computed ones.
 
-fn push_f64(out: &mut String, v: f64) {
-    out.push_str(&format!("{:016x}", v.to_bits()));
-}
-
-fn encode_record(r: &ScenarioResult) -> String {
+fn encode_record(r: &ScenarioResult, out: &mut String) {
     assert!(!r.id.contains([',', '\n']), "scenario id `{}` would corrupt the record framing", r.id);
-    let mut f = String::with_capacity(256);
-    let sep = |f: &mut String| f.push(',');
-    f.push_str(&r.index.to_string());
-    sep(&mut f);
-    f.push_str(&r.id);
-    sep(&mut f);
-    f.push_str(&r.seed.to_string());
-    sep(&mut f);
-    if let Some(b) = r.leaked {
-        f.push(if b { '1' } else { '0' });
-    }
-    sep(&mut f);
-    if let Some(a) = r.anomalies {
-        f.push_str(&a.to_string());
-    }
-    sep(&mut f);
-    for (k, &(lat, count)) in r.latency_hist.iter().enumerate() {
-        if k > 0 {
-            f.push(';');
+    for (i, c) in COLUMNS.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
         }
-        f.push_str(&format!("{lat}:{count}"));
+        c.cell(r).shard(out);
     }
-    sep(&mut f);
-    f.push(if r.truncated { '1' } else { '0' });
-    for v in [
-        r.cycles,
-        r.instructions,
-        r.demand_accesses,
-        r.demand_misses,
-        r.demand_miss_latency,
-        r.prefetch_issued,
-        r.prefetch_fills,
-        r.prefetch_useful,
-        r.st_prefetches,
-        r.at_prefetches,
-        r.rp_prefetches,
-    ] {
-        sep(&mut f);
-        f.push_str(&v.to_string());
-    }
-    sep(&mut f);
-    push_f64(&mut f, r.ipc);
-    for v in [
-        r.prefetch_accuracy,
-        r.mi_bits,
-        r.mi_corrected,
-        r.capacity_bits,
-        r.ml_accuracy,
-        r.guessing_entropy,
-        r.mi_p_value,
-        r.mi_null_q95,
-        r.mi_ci_lo,
-        r.mi_ci_hi,
-    ] {
-        sep(&mut f);
-        if let Some(v) = v {
-            push_f64(&mut f, v);
-        }
-    }
-    for v in [r.secrets, r.trials] {
-        sep(&mut f);
-        if let Some(v) = v {
-            f.push_str(&v.to_string());
-        }
-    }
-    f
 }
 
 fn decode_record(line: &str) -> Result<ScenarioResult, String> {
-    let fields: Vec<&str> = line.split(',').collect();
-    if fields.len() != 31 {
-        return Err(format!("{} fields, expected 31", fields.len()));
+    let cells: Vec<&str> = line.split(',').collect();
+    if cells.len() != COLUMNS.len() {
+        return Err(format!("{} fields, expected {}", cells.len(), COLUMNS.len()));
     }
-    let mut i = 0usize;
-    let mut next = || {
-        let f = fields[i];
-        i += 1;
-        f
-    };
-    fn num<T: std::str::FromStr>(f: &str, what: &str) -> Result<T, String> {
-        f.parse().map_err(|_| format!("bad {what} `{f}`"))
+    let mut r = ScenarioResult::default();
+    for (c, cell) in COLUMNS.iter().zip(cells) {
+        c.parse(&mut r, cell)?;
     }
-    fn opt_num<T: std::str::FromStr>(f: &str, what: &str) -> Result<Option<T>, String> {
-        if f.is_empty() {
-            Ok(None)
-        } else {
-            num(f, what).map(Some)
-        }
-    }
-    fn bits(f: &str, what: &str) -> Result<f64, String> {
-        u64::from_str_radix(f, 16).map(f64::from_bits).map_err(|_| format!("bad {what} bits `{f}`"))
-    }
-    fn opt_bits(f: &str, what: &str) -> Result<Option<f64>, String> {
-        if f.is_empty() {
-            Ok(None)
-        } else {
-            bits(f, what).map(Some)
-        }
-    }
-    let index = num(next(), "index")?;
-    let id = next().to_string();
-    let seed = num(next(), "seed")?;
-    let leaked = match next() {
-        "" => None,
-        "0" => Some(false),
-        "1" => Some(true),
-        other => return Err(format!("bad leaked flag `{other}`")),
-    };
-    let anomalies = opt_num(next(), "anomalies")?;
-    let hist_field = next();
-    let mut latency_hist = Vec::new();
-    if !hist_field.is_empty() {
-        for pair in hist_field.split(';') {
-            let (lat, count) = pair.split_once(':').ok_or_else(|| format!("bad hist `{pair}`"))?;
-            latency_hist.push((num(lat, "hist latency")?, num(count, "hist count")?));
-        }
-    }
-    let truncated = match next() {
-        "0" => false,
-        "1" => true,
-        other => return Err(format!("bad truncated flag `{other}`")),
-    };
-    let cycles = num(next(), "cycles")?;
-    let instructions = num(next(), "instructions")?;
-    let demand_accesses = num(next(), "demand_accesses")?;
-    let demand_misses = num(next(), "demand_misses")?;
-    let demand_miss_latency = num(next(), "demand_miss_latency")?;
-    let prefetch_issued = num(next(), "prefetch_issued")?;
-    let prefetch_fills = num(next(), "prefetch_fills")?;
-    let prefetch_useful = num(next(), "prefetch_useful")?;
-    let st_prefetches = num(next(), "st_prefetches")?;
-    let at_prefetches = num(next(), "at_prefetches")?;
-    let rp_prefetches = num(next(), "rp_prefetches")?;
-    let ipc = bits(next(), "ipc")?;
-    let prefetch_accuracy = opt_bits(next(), "prefetch_accuracy")?;
-    let mi_bits = opt_bits(next(), "mi_bits")?;
-    let mi_corrected = opt_bits(next(), "mi_corrected")?;
-    let capacity_bits = opt_bits(next(), "capacity_bits")?;
-    let ml_accuracy = opt_bits(next(), "ml_accuracy")?;
-    let guessing_entropy = opt_bits(next(), "guessing_entropy")?;
-    let mi_p_value = opt_bits(next(), "mi_p_value")?;
-    let mi_null_q95 = opt_bits(next(), "mi_null_q95")?;
-    let mi_ci_lo = opt_bits(next(), "mi_ci_lo")?;
-    let mi_ci_hi = opt_bits(next(), "mi_ci_hi")?;
-    let secrets = opt_num(next(), "secrets")?;
-    let trials = opt_num(next(), "trials")?;
-    debug_assert_eq!(i, 31);
-    Ok(ScenarioResult {
-        index,
-        id,
-        seed,
-        leaked,
-        anomalies,
-        latency_hist,
-        truncated,
-        cycles,
-        instructions,
-        ipc,
-        demand_accesses,
-        demand_misses,
-        demand_miss_latency,
-        prefetch_issued,
-        prefetch_fills,
-        prefetch_useful,
-        prefetch_accuracy,
-        st_prefetches,
-        at_prefetches,
-        rp_prefetches,
-        mi_bits,
-        mi_corrected,
-        capacity_bits,
-        ml_accuracy,
-        guessing_entropy,
-        secrets,
-        trials,
-        mi_p_value,
-        mi_null_q95,
-        mi_ci_lo,
-        mi_ci_hi,
-    })
+    Ok(r)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixture::{golden_report, leakage_result, sample_result};
 
-    fn sample_result(index: usize) -> ScenarioResult {
-        ScenarioResult {
-            index,
-            id: format!("atk:fr/full32/none/paper/s{index}"),
-            seed: 0xDEAD_BEEF ^ index as u64,
-            leaked: Some(index.is_multiple_of(2)),
-            anomalies: Some(3),
-            latency_hist: vec![(4, 60), (200, 4)],
-            truncated: false,
-            cycles: 123_456,
-            instructions: 98_765,
-            ipc: 0.1234567890123,
-            demand_accesses: 400,
-            demand_misses: 31,
-            demand_miss_latency: 6200,
-            prefetch_issued: 17,
-            prefetch_fills: 15,
-            prefetch_useful: 9,
-            prefetch_accuracy: Some(0.6),
-            st_prefetches: 5,
-            at_prefetches: 7,
-            rp_prefetches: 5,
-            mi_bits: None,
-            mi_corrected: None,
-            capacity_bits: None,
-            ml_accuracy: None,
-            guessing_entropy: None,
-            secrets: None,
-            trials: None,
-            mi_p_value: None,
-            mi_null_q95: None,
-            mi_ci_lo: None,
-            mi_ci_hi: None,
-        }
-    }
-
-    fn leakage_result(index: usize) -> ScenarioResult {
-        ScenarioResult {
-            leaked: None,
-            anomalies: None,
-            latency_hist: Vec::new(),
-            mi_bits: Some(2.9999999999999996),
-            mi_corrected: Some(0.0),
-            capacity_bits: Some(f64::NAN),
-            ml_accuracy: Some(1.0),
-            guessing_entropy: Some(f64::INFINITY),
-            secrets: Some(8),
-            trials: Some(4),
-            mi_p_value: Some(0.004999999999999),
-            mi_null_q95: Some(1e-300),
-            mi_ci_lo: Some(-0.0),
-            mi_ci_hi: Some(3.0),
-            ..sample_result(index)
-        }
+    fn record(r: &ScenarioResult) -> String {
+        let mut line = String::new();
+        encode_record(r, &mut line);
+        line
     }
 
     #[test]
@@ -516,12 +300,12 @@ mod tests {
 
     #[test]
     fn records_round_trip_bit_exactly() {
-        for r in [sample_result(0), sample_result(7), leakage_result(3)] {
-            let line = encode_record(&r);
+        for r in golden_report().results {
+            let line = record(&r);
             let back = decode_record(&line).expect("decodes");
             // PartialEq fails on NaN fields; compare through the exact
             // bit patterns instead.
-            assert_eq!(encode_record(&back), line);
+            assert_eq!(record(&back), line);
             assert_eq!(back.index, r.index);
             assert_eq!(back.id, r.id);
             assert_eq!(
@@ -530,6 +314,7 @@ mod tests {
                 "NaN/inf survive exactly"
             );
         }
+        assert_eq!(decode_record("1,2").unwrap_err(), "2 fields, expected 31");
     }
 
     #[test]

@@ -50,10 +50,14 @@ fn reference(dir: &Path, threads: &str) -> (Vec<u8>, Vec<u8>) {
     )
 }
 
+/// The committed shard files. A `write_atomic` temporary of a shard still
+/// being written is not one: counting it would let a test kill the child
+/// before that shard commits and then corrupt the temporary instead.
 fn shard_files(dir: &Path) -> Vec<PathBuf> {
     let mut files: Vec<PathBuf> = fs::read_dir(dir.join(SHARD_DIR))
         .map(|rd| rd.filter_map(|e| e.ok()).map(|e| e.path()).collect())
         .unwrap_or_default();
+    files.retain(|p| p.extension().is_some_and(|e| e == "psd"));
     files.sort();
     files
 }

@@ -87,6 +87,7 @@ fn lint_covers_the_crash_safety_modules() {
         rust_sources(&root.join(krate).join("src"), &mut files);
     }
     for required in [
+        "crates/sweep/src/record.rs",
         "crates/sweep/src/shard.rs",
         "crates/sweep/src/checkpoint.rs",
         "crates/sweep/src/lease.rs",
