@@ -467,6 +467,7 @@ mod tests {
     use super::*;
     use crate::engine::run_sweep;
     use crate::fixture::V1_SHARD;
+    use std::sync::PoisonError;
 
     fn scratch(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("prefender-ckpt-{tag}-{}", std::process::id()));
@@ -620,7 +621,7 @@ mod tests {
 
     #[test]
     fn injected_io_failure_surfaces_and_leaves_a_resumable_directory() {
-        let _g = crate::testgate::FAILPOINT_GATE.lock().unwrap();
+        let _g = crate::testgate::FAILPOINT_GATE.lock().unwrap_or_else(PoisonError::into_inner);
         let dir = scratch("inject");
         let grid = small_grid();
         let opts = SweepOptions { threads: 1, campaign_seed: 5 };
@@ -644,7 +645,7 @@ mod tests {
         // The fixture's v1 shard was written for exactly this campaign:
         // it checksums and its header matches, but its records are in the
         // old layout, so decode must refuse it by magic, never parse it.
-        let _g = crate::testgate::FAILPOINT_GATE.lock().unwrap_or_else(|e| e.into_inner());
+        let _g = crate::testgate::FAILPOINT_GATE.lock().unwrap_or_else(PoisonError::into_inner);
         let dir = scratch("v1");
         let grid = small_grid();
         let opts = SweepOptions { threads: 1, campaign_seed: 7 };

@@ -51,8 +51,8 @@
 use std::fs::{self, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
@@ -396,71 +396,41 @@ impl Lease {
     /// stopped, renewal fails, or ownership is lost.
     pub fn heartbeat(&self, cfg: &LeaseConfig) -> Heartbeat {
         let renewer = Lease { path: self.path.clone(), token: self.token, shard: self.shard };
-        let stop = Arc::new(AtomicBool::new(false));
-        let renewals = Arc::new(AtomicU64::new(0));
-        let lost = Arc::new(AtomicBool::new(false));
-        let renew_ms = cfg.renew_ms.max(1);
-        let handle = {
-            let (stop, renewals, lost) = (stop.clone(), renewals.clone(), lost.clone());
-            thread::spawn(move || {
-                'beat: loop {
-                    // Sleep in short slices so stop() returns promptly.
-                    let mut slept = 0;
-                    while slept < renew_ms {
-                        if stop.load(Ordering::Relaxed) {
-                            break 'beat;
-                        }
-                        let slice = (renew_ms - slept).min(10);
-                        thread::sleep(Duration::from_millis(slice));
-                        slept += slice;
-                    }
-                    if stop.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    match renewer.renew() {
-                        Ok(true) => {
-                            renewals.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Ok(false) => {
-                            lost.store(true, Ordering::Relaxed);
-                            break;
-                        }
-                        // Stop renewing; the lease ages out and the
-                        // shard may be reclaimed — commit stays safe.
-                        Err(_) => break,
-                    }
+        let renew = Duration::from_millis(cfg.renew_ms.max(1));
+        let (stop, stopped) = mpsc::channel::<()>();
+        let handle = thread::spawn(move || {
+            let mut renewals = 0;
+            // Nothing is ever sent: the wait ends early only when the
+            // handle drops its sender, which wakes this thread at once.
+            while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(renew) {
+                match renewer.renew() {
+                    Ok(true) => renewals += 1,
+                    Ok(false) => return (renewals, true),
+                    // Stop renewing; the lease ages out and the shard
+                    // may be reclaimed — commit stays safe.
+                    Err(_) => break,
                 }
-            })
-        };
-        Heartbeat { stop, renewals, lost, handle: Some(handle) }
+            }
+            (renewals, false)
+        });
+        Heartbeat { stop, handle }
     }
 }
 
-/// Handle on a running heartbeat thread. Dropping it signals stop
+/// Handle on a running heartbeat thread. Dropping it stops the thread
 /// without joining; prefer [`Heartbeat::stop`], which joins, so no
 /// renewal is in flight when the caller releases the lease.
 #[derive(Debug)]
 pub struct Heartbeat {
-    stop: Arc<AtomicBool>,
-    renewals: Arc<AtomicU64>,
-    lost: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
+    stop: mpsc::Sender<()>,
+    handle: JoinHandle<(u64, bool)>,
 }
 
 impl Heartbeat {
     /// Stops and joins the thread; returns `(renewals, ownership_lost)`.
-    pub fn stop(mut self) -> (u64, bool) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-        (self.renewals.load(Ordering::Relaxed), self.lost.load(Ordering::Relaxed))
-    }
-}
-
-impl Drop for Heartbeat {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+    pub fn stop(self) -> (u64, bool) {
+        drop(self.stop);
+        self.handle.join().expect("the heartbeat thread does not panic")
     }
 }
 
@@ -590,7 +560,11 @@ pub fn work_campaign(
     let mut summary = WorkSummary { shards: n, ..WorkSummary::default() };
     let mut done = vec![false; n];
     let mut done_count = 0usize;
-    let poll = Duration::from_millis(opts.lease.renew_ms.clamp(10, 250));
+    // A peer's short shard commits within milliseconds, so waiting for
+    // one starts at 1 ms; doubling up to the cap bounds the polling
+    // while a long one runs.
+    let max_wait = Duration::from_millis(opts.lease.renew_ms.clamp(10, 250));
+    let mut wait = Duration::from_millis(1);
 
     'campaign: loop {
         loop {
@@ -679,9 +653,12 @@ pub fn work_campaign(
             if remaining == 0 {
                 break;
             }
-            if !progressed {
+            if progressed {
+                wait = Duration::from_millis(1);
+            } else {
                 on_event(&WorkEvent::Waiting { remaining });
-                thread::sleep(poll);
+                thread::sleep(wait);
+                wait = (wait * 2).min(max_wait);
             }
         }
         // Merge every shard in order. A shard that stopped validating
@@ -713,6 +690,7 @@ mod tests {
     use crate::engine::{run_sweep, SweepOptions};
     use crate::grid::SweepGrid;
     use crate::testgate::FAILPOINT_GATE;
+    use std::sync::PoisonError;
 
     fn scratch(tag: &str) -> PathBuf {
         let dir =
@@ -888,8 +866,74 @@ mod tests {
     }
 
     #[test]
+    fn heartbeat_stop_wakes_the_thread_at_once() {
+        // Claims and renewals would spend the one-shot rules a gated
+        // test arms, so this test runs apart from those.
+        let _g = FAILPOINT_GATE.lock().unwrap_or_else(PoisonError::into_inner);
+        let dir = scratch("prompt-stop");
+        fs::create_dir_all(&dir).unwrap();
+        let cfg = LeaseConfig::default();
+        let mut counters = ObsCounters::new();
+        let mut sink = |_: WorkEvent| {};
+        let Claim::Claimed { lease, .. } =
+            claim_shard(&dir, 0, 0xF00D, &cfg, &mut counters, &mut sink).unwrap()
+        else {
+            panic!("claim must win")
+        };
+        // A stop that waited for the thread's next timed wake-up would
+        // cost milliseconds per shard; 20 stops must take well under
+        // one such wait each.
+        let mut stopping = Duration::ZERO;
+        for _ in 0..20 {
+            let hb = lease.heartbeat(&cfg);
+            std::thread::sleep(Duration::from_millis(1));
+            let began = std::time::Instant::now();
+            assert_eq!(hb.stop(), (0, false));
+            stopping += began.elapsed();
+        }
+        assert!(stopping < Duration::from_millis(100), "20 stops took {stopping:?}");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn dropping_a_heartbeat_ends_its_renewals() {
+        let _g = FAILPOINT_GATE.lock().unwrap_or_else(PoisonError::into_inner);
+        let dir = scratch("hb-drop");
+        fs::create_dir_all(&dir).unwrap();
+        let cfg = LeaseConfig { ttl_ms: 1000, renew_ms: 5 };
+        let mut counters = ObsCounters::new();
+        let mut sink = |_: WorkEvent| {};
+        let Claim::Claimed { lease, .. } =
+            claim_shard(&dir, 0, 0xF00D, &cfg, &mut counters, &mut sink).unwrap()
+        else {
+            panic!("claim must win")
+        };
+        let path = dir.join(LEASE_DIR).join(lease_file_name(0));
+        let beat = || LeaseInfo::decode(&fs::read_to_string(&path).unwrap()).unwrap().heartbeat_ms;
+        let claimed = beat();
+        let hb = lease.heartbeat(&cfg);
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while beat() == claimed {
+            assert!(std::time::Instant::now() < deadline, "the heartbeat never renewed");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        drop(hb);
+        // A renewal already in flight may still land; after it, two
+        // reads 50 ms apart (ten renew periods) must agree.
+        loop {
+            let last = beat();
+            std::thread::sleep(Duration::from_millis(50));
+            if beat() == last {
+                break;
+            }
+            assert!(std::time::Instant::now() < deadline, "a dropped heartbeat kept renewing");
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn lease_failpoints_inject_errors() {
-        let _g = FAILPOINT_GATE.lock().unwrap();
+        let _g = FAILPOINT_GATE.lock().unwrap_or_else(PoisonError::into_inner);
         let dir = scratch("failpoints");
         fs::create_dir_all(&dir).unwrap();
         let cfg = LeaseConfig::with_ttl_ms(20);

@@ -367,13 +367,17 @@ pub fn serve_campaign(
         slots.push(slot);
     }
 
+    let mut readers = Vec::new();
+    let mut accept = || {
+        while let Ok((stream, _)) = listener.accept() {
+            let shared = shared.clone();
+            readers.push(thread::spawn(move || read_connection(stream, shared)));
+        }
+    };
     let mut last_progress = Instant::now();
     let mut seen_progress = 0u64;
     loop {
-        while let Ok((stream, _)) = listener.accept() {
-            let shared = shared.clone();
-            thread::spawn(move || read_connection(stream, shared));
-        }
+        accept();
         for (important, line) in shared.inner.lock().unwrap().lines.drain(..) {
             log(important, &line);
         }
@@ -451,8 +455,13 @@ pub fn serve_campaign(
         }
         thread::sleep(Duration::from_millis(25));
     }
-    // Give lagging reader threads a beat, then drain the last lines.
-    thread::sleep(Duration::from_millis(50));
+    // Every worker has exited, so every connection it made is queued
+    // and every reader runs to end of file: once they are joined, the
+    // lines and `done` counters are complete.
+    accept();
+    for reader in readers {
+        reader.join().expect("telemetry readers do not panic");
+    }
     for (important, line) in shared.inner.lock().unwrap().lines.drain(..) {
         log(important, &line);
     }

@@ -18,7 +18,10 @@ use std::process::{Child, Command, Stdio};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use prefender_sweep::{LEASE_DIR, SHARD_DIR};
+use prefender_sweep::{
+    init_campaign, run_sweep, serve_campaign, AttackCase, DefenseConfig, DefensePoint,
+    ServeOptions, SweepGrid, SweepOptions, LEASE_DIR, SHARD_DIR,
+};
 
 const SWEEP: &str = env!("CARGO_BIN_EXE_sweep");
 
@@ -208,6 +211,41 @@ fn serve_survives_sigkilled_workers_and_a_corrupted_shard() {
 
     fs::remove_dir_all(&clean1).unwrap();
     fs::remove_dir_all(&clean8).unwrap();
+    fs::remove_dir_all(&camp).unwrap();
+}
+
+/// A fault-free `serve_campaign` with 2 workers and 4-scenario shards:
+/// the report matches the 1-thread in-process run, and the summary
+/// accounts for every shard — each was committed by exactly one worker
+/// or by the heal pass — with no lease faults and no restarts.
+#[test]
+fn fault_free_serve_accounts_for_every_shard() {
+    let camp = scratch("serve-count");
+    let grid = SweepGrid {
+        attacks: AttackCase::figure8_panels()[..3].to_vec(),
+        defenses: vec![
+            DefensePoint::new(DefenseConfig::None),
+            DefensePoint::new(DefenseConfig::Full),
+        ],
+        seeds: 4,
+        ..SweepGrid::empty()
+    };
+    let opts = SweepOptions { threads: 1, campaign_seed: 0x5EED };
+    let shards = init_campaign(&camp, &grid, &opts, 4).expect("init campaign").plan().n_shards();
+    assert_eq!(shards, 6);
+    let mut serve = ServeOptions::new(SWEEP, 2);
+    serve.quiet = true;
+    let (report, _, summary) = serve_campaign(&camp, &serve).expect("serve converges");
+    assert_eq!(report, run_sweep(&grid, &opts), "serve must match the in-process run");
+    let committed: u64 = summary.per_worker.iter().map(|w| w.committed).sum();
+    assert_eq!(committed + summary.healed, shards as u64, "{summary:?}");
+    let c = &summary.counters;
+    assert!(c.lease_claims >= shards as u64, "{summary:?}");
+    assert_eq!(
+        (summary.restarts, c.lease_breaks, c.lease_reclaims, c.shard_quarantines),
+        (0, 0, 0, 0),
+        "{summary:?}"
+    );
     fs::remove_dir_all(&camp).unwrap();
 }
 
