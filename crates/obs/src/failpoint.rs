@@ -163,18 +163,27 @@ fn fire(name: &str) -> io::Result<()> {
     }
 }
 
+/// The one gate for this crate's tests that arm failpoints or pass a
+/// failpoint site (`fsio`'s too): the registry is process-global, so two
+/// such tests at once would fire or disarm each other's rules. A test
+/// that fails while holding the gate must not wedge the others, hence the
+/// poison recovery.
+#[cfg(test)]
+pub(crate) fn test_gate() -> std::sync::MutexGuard<'static, ()> {
+    static GATE: Mutex<()> = Mutex::new(());
+    GATE.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // Failpoints are global state; serialize the tests that arm them and
-    // always restore the disarmed default (same pattern as the trace
-    // tests' gate).
-    static GATE: Mutex<()> = Mutex::new(());
+    // Every test here restores the disarmed default before releasing the
+    // gate.
 
     #[test]
     fn disarmed_is_a_no_op() {
-        let _g = GATE.lock().unwrap();
+        let _g = test_gate();
         disarm_failpoints();
         for _ in 0..3 {
             assert!(failpoint("anything").is_ok());
@@ -183,7 +192,7 @@ mod tests {
 
     #[test]
     fn err_fires_on_the_nth_hit_once() {
-        let _g = GATE.lock().unwrap();
+        let _g = test_gate();
         arm_failpoints("io.write=err@3").unwrap();
         assert!(failpoint("io.write").is_ok(), "hit 1 passes");
         assert!(failpoint("other").is_ok(), "unrelated names never fire");
@@ -196,7 +205,7 @@ mod tests {
 
     #[test]
     fn multiple_rules_fire_independently() {
-        let _g = GATE.lock().unwrap();
+        let _g = test_gate();
         arm_failpoints("a=err; b=err@2").unwrap();
         assert!(failpoint("b").is_ok());
         assert!(failpoint("a").is_err());
@@ -206,7 +215,7 @@ mod tests {
 
     #[test]
     fn rearming_replaces_rules_and_empty_spec_disarms() {
-        let _g = GATE.lock().unwrap();
+        let _g = test_gate();
         arm_failpoints("a=err").unwrap();
         arm_failpoints("b=err").unwrap();
         assert!(failpoint("a").is_ok(), "old rules are gone");
@@ -218,7 +227,7 @@ mod tests {
 
     #[test]
     fn malformed_specs_are_rejected() {
-        let _g = GATE.lock().unwrap();
+        let _g = test_gate();
         for bad in ["nameonly", "=err", "a=explode", "a=err@0", "a=err@x", "a=kill@-1"] {
             assert!(arm_failpoints(bad).is_err(), "spec `{bad}` must be rejected");
         }
@@ -228,7 +237,7 @@ mod tests {
 
     #[test]
     fn kill_and_hang_specs_parse() {
-        let _g = GATE.lock().unwrap();
+        let _g = test_gate();
         arm_failpoints("shard.commit=kill@7; atomic.fsync=hang").unwrap();
         // Don't hit them (that would abort the test runner) — just check
         // they armed and then disarm.

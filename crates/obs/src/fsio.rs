@@ -105,9 +105,7 @@ fn sync_parent_dir(path: &Path) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::failpoint::{arm_failpoints, disarm_failpoints};
-
-    static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    use crate::failpoint::{arm_failpoints, disarm_failpoints, test_gate};
 
     fn scratch_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("prefender-fsio-{tag}-{}", std::process::id()));
@@ -127,7 +125,7 @@ mod tests {
 
     #[test]
     fn writes_and_overwrites_leaving_no_tmp() {
-        let _g = GATE.lock().unwrap();
+        let _g = test_gate();
         disarm_failpoints();
         let dir = scratch_dir("roundtrip");
         let path = dir.join("artifact.json");
@@ -141,7 +139,7 @@ mod tests {
 
     #[test]
     fn injected_failure_preserves_old_bytes_and_cleans_tmp() {
-        let _g = GATE.lock().unwrap();
+        let _g = test_gate();
         let dir = scratch_dir("inject");
         let path = dir.join("artifact.json");
         write_atomic(&path, b"committed").unwrap();
@@ -182,7 +180,7 @@ mod tests {
 
     #[test]
     fn rejects_pathless_targets() {
-        let _g = GATE.lock().unwrap();
+        let _g = test_gate();
         disarm_failpoints();
         assert!(write_atomic(Path::new("/"), b"x").is_err());
     }

@@ -77,7 +77,9 @@ pub enum RetireInterest {
 /// (deduplicated against lines already present or in flight).
 ///
 /// The trait is object-safe: the machine stores `Box<dyn Prefetcher>`.
-pub trait Prefetcher {
+/// It is `Send`, so a machine and the runner owning it can be lent to a
+/// worker thread.
+pub trait Prefetcher: Send {
     /// Short name for stats output (e.g. `"stride"`).
     fn name(&self) -> &str;
 

@@ -44,13 +44,14 @@ use prefender_obs::{
     atomic_tmp_pid, failpoint, is_atomic_tmp, pid_alive, write_atomic, ObsCounters,
 };
 
+use prefender_attacks::Runner;
 use prefender_leakage::ResampleOptions;
 
 use crate::artifact::SweepReport;
-use crate::engine::{parallel_map, SweepOptions};
+use crate::engine::{run_config_major, runner_slots, SweepOptions};
 use crate::grid::SweepGrid;
 use crate::record::{ScenarioResult, REPORT_SCHEMA_VERSION};
-use crate::scenario::{run_scenario_with, Scenario};
+use crate::scenario::{run_on, Scenario};
 use crate::shard::{decode_shard, encode_shard, fnv1a64, shard_file_name, ShardHeader, ShardPlan};
 
 /// Manifest file name inside a campaign directory.
@@ -353,6 +354,7 @@ fn execute(
     let fingerprint = manifest.fingerprint();
     let mut stats = ResumeStats { shards: plan.n_shards(), ..ResumeStats::default() };
     let mut results: Vec<ScenarioResult> = Vec::with_capacity(scenarios.len());
+    let mut runners = runner_slots(threads, manifest.shard_size);
 
     for shard in 0..plan.n_shards() {
         let range = plan.range(shard);
@@ -382,7 +384,7 @@ fn execute(
             }
         }
         let shard_results =
-            run_shard_range(&scenarios, range, manifest.campaign_seed, &resample, threads);
+            run_shard_range(&scenarios, range, manifest.campaign_seed, &resample, &mut runners);
         failpoint("shard.write").map_err(io_err(&path))?;
         write_atomic(&path, encode_shard(&header, &shard_results)).map_err(io_err(&path))?;
         failpoint("shard.commit").map_err(io_err(&path))?;
@@ -399,22 +401,20 @@ fn execute(
 /// worker loop in [`crate::lease`]), which is what makes a shard's
 /// bytes identical no matter which process computed them.
 ///
-/// Scheduling is config-major within the shard for runner reuse;
-/// results are pure functions of each scenario, so the restored index
-/// order erases the scheduling choice.
+/// The shard runs config-major on one worker per slot of `runners`. The
+/// caller creates the slots once per campaign and lends them to every
+/// shard, so a worker's machine survives the shard boundary; results are
+/// pure functions of each scenario, so neither choice shows in them.
 pub(crate) fn run_shard_range(
     scenarios: &[Scenario],
     range: Range<usize>,
     campaign_seed: u64,
     resample: &ResampleOptions,
-    threads: usize,
+    runners: &mut [Option<Runner>],
 ) -> Vec<ScenarioResult> {
-    let mut order: Vec<&Scenario> = scenarios[range].iter().collect();
-    order.sort_by_key(|s| s.machine_key());
-    let mut shard_results =
-        parallel_map(&order, threads, |s| run_scenario_with(s, campaign_seed, resample));
-    shard_results.sort_by_key(|r| r.index);
-    shard_results
+    run_config_major(&scenarios[range], runners, |runner, _, chunk| {
+        chunk.iter().map(|s| run_on(runner, s, campaign_seed, resample).0).collect()
+    })
 }
 
 /// The identity header every process derives for a shard of this
@@ -467,7 +467,8 @@ mod tests {
     use super::*;
     use crate::engine::run_sweep;
     use crate::fixture::V1_SHARD;
-    use std::sync::PoisonError;
+    use crate::grid::DefensePoint;
+    use prefender_attacks::DefenseConfig;
 
     fn scratch(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("prefender-ckpt-{tag}-{}", std::process::id()));
@@ -620,32 +621,10 @@ mod tests {
     }
 
     #[test]
-    fn injected_io_failure_surfaces_and_leaves_a_resumable_directory() {
-        let _g = crate::testgate::FAILPOINT_GATE.lock().unwrap_or_else(PoisonError::into_inner);
-        let dir = scratch("inject");
-        let grid = small_grid();
-        let opts = SweepOptions { threads: 1, campaign_seed: 5 };
-        prefender_obs::arm_failpoints("shard.write=err@2").unwrap();
-        let err = run_sharded(&dir, &grid, &opts, 2).unwrap_err();
-        prefender_obs::disarm_failpoints();
-        assert!(matches!(err, CampaignError::Io { .. }), "{err}");
-        assert!(err.to_string().contains("injected"), "{err}");
-        // Shard 0 committed before the fault; resume finishes the rest
-        // and the merged artifacts equal the uninterrupted run.
-        let reference = run_sweep(&grid, &opts);
-        let (resumed, _, stats) = resume_sharded(&dir, 1).unwrap();
-        assert_eq!(resumed, reference);
-        assert_eq!(stats.skipped, 1);
-        assert_eq!(stats.executed, 2);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn v1_shards_are_quarantined_and_rerun() {
         // The fixture's v1 shard was written for exactly this campaign:
         // it checksums and its header matches, but its records are in the
         // old layout, so decode must refuse it by magic, never parse it.
-        let _g = crate::testgate::FAILPOINT_GATE.lock().unwrap_or_else(PoisonError::into_inner);
         let dir = scratch("v1");
         let grid = small_grid();
         let opts = SweepOptions { threads: 1, campaign_seed: 7 };
@@ -659,6 +638,30 @@ mod tests {
         assert_eq!((stats.skipped, stats.executed), (2, 1));
         assert_eq!(resumed.artifacts(), run_sweep(&grid, &opts).artifacts());
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn runners_outlive_shards() {
+        // Two 4-scenario shards of one machine configuration on the same
+        // two runner slots: each slot builds its machine once, in the
+        // first shard, and every run after that is an in-place reset.
+        let mut grid = SweepGrid::security_quick();
+        grid.defenses = vec![DefensePoint::new(DefenseConfig::Full)];
+        grid.seeds = 8;
+        let scenarios = grid.enumerate();
+        let resample = ResampleOptions::default();
+        let mut runners = runner_slots(2, 4);
+        let (mut resets, mut rebuilds) = (0, 0);
+        for shard in [0..4, 4..8] {
+            let reuse = run_config_major(&scenarios[shard], &mut runners, |runner, _, chunk| {
+                chunk.iter().map(|s| run_on(runner, s, 0xC0FFEE, &resample).2).collect()
+            });
+            for (rs, rb) in reuse {
+                resets += rs;
+                rebuilds += rb;
+            }
+        }
+        assert_eq!((resets, rebuilds), (8, 2), "one build per slot, across both shards");
     }
 
     #[test]

@@ -1,15 +1,14 @@
 //! The deterministic sharded executor.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use prefender_attacks::Runner;
 use prefender_obs::{ObsCounters, TraceBuf, Value};
 
 use crate::artifact::SweepReport;
 use crate::grid::SweepGrid;
-use crate::record::ScenarioResult;
-use crate::scenario::{run_scenario_with_obs, Scenario};
+use crate::scenario::{run_on, Ran, Scenario};
 
 /// Campaign-level execution options.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,66 +43,113 @@ fn chunk_size(items: usize, threads: usize) -> usize {
     (items / (threads * 8)).clamp(1, 64)
 }
 
-/// Applies `f` to every item on a worker pool and returns the results in
-/// item order.
+/// The one worker pool: runs `f(state, start, chunk)` over `items` in
+/// chunks of consecutive items (see [`chunk_size`]), one worker per entry
+/// of `workers` (at most one per item), each on its own caller-owned
+/// state, and returns every result in item order.
 ///
-/// Sharding is dynamic — an atomic cursor hands out *chunks* of
-/// consecutive items (see [`chunk_size`]) — but the output is **ordered
-/// by item index**, so as long as `f` itself is a pure function of its
-/// item the result vector is identical for every thread count — this is
-/// the primitive both [`run_sweep`] and the bench ablations build on.
-/// Workers share nothing mutable beyond the cursor and the result sink;
-/// each worker buffers whole chunks locally (capacity reserved up front)
-/// and touches the sink lock once, and the final assembly places every
-/// chunk by its start index in O(n) — no comparison sort.
+/// Every worker starts on its own chunk and then claims the next free
+/// one off an atomic cursor, so sharding is dynamic but each worker keeps
+/// runs of consecutive items — which is what lets a config-major
+/// work-list reuse the runner a worker's state holds. Workers share
+/// nothing mutable beyond the cursor; each buffers its chunks locally,
+/// and the final assembly orders the chunks by start index. With one
+/// worker everything runs inline on the calling thread, chunk by chunk,
+/// which is what lets `repro profile` read back its thread-local span
+/// profile.
 ///
 /// # Panics
 ///
-/// Propagates the first worker panic after all workers stop.
+/// Panics when `workers` is empty; propagates a worker panic once every
+/// worker has stopped.
+pub(crate) fn run_pool<T, R, W, F>(items: &[T], workers: &mut [W], f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    W: Send,
+    F: Fn(&mut W, usize, &[T]) -> Vec<R> + Sync,
+{
+    let n = items.len();
+    let used = workers.len().min(n).max(1);
+    let workers = &mut workers[..used];
+    let chunk = chunk_size(n, workers.len());
+    let cursor = AtomicUsize::new(workers.len() * chunk);
+    let work = |wid: usize, state: &mut W| {
+        let mut chunks = Vec::new();
+        let mut start = wid * chunk;
+        while start < n {
+            let end = (start + chunk).min(n);
+            chunks.push((start, f(state, start, &items[start..end])));
+            start = cursor.fetch_add(chunk, Ordering::Relaxed);
+        }
+        chunks
+    };
+    let mut chunks = match workers {
+        [only] => work(0, only),
+        _ => std::thread::scope(|scope| {
+            let work = &work;
+            let handles: Vec<_> = workers
+                .iter_mut()
+                .enumerate()
+                .map(|(wid, state)| scope.spawn(move || work(wid, state)))
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+                .collect()
+        }),
+    };
+    chunks.sort_unstable_by_key(|&(start, _)| start);
+    chunks.into_iter().flat_map(|(_, out)| out).collect()
+}
+
+/// Applies `f` to every item on a worker pool and returns the results in
+/// item order — [`run_pool`] with stateless workers. As long as `f` is a
+/// pure function of its item, the result vector is identical for every
+/// thread count; this is the primitive the bench ablations build on.
+///
+/// # Panics
+///
+/// Propagates a worker panic once every worker has stopped.
 pub fn parallel_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let threads = effective_threads(threads, items.len());
-    if threads <= 1 || items.len() <= 1 {
-        return items.iter().map(&f).collect();
+    let mut workers = vec![(); effective_threads(threads, items.len())];
+    run_pool(items, &mut workers, |_, _, chunk| chunk.iter().map(&f).collect())
+}
+
+/// Runs `scenarios` on the pool **config-major**: stably sorted by
+/// [`Scenario::machine_key`] (cross-core scope, defense point, basic
+/// prefetcher, hierarchy), so a worker's consecutive claims overwhelmingly
+/// share one machine configuration and the runner its state holds resets
+/// in place instead of rebuilding. `run` gets each chunk with its
+/// worker's state. Results come back in `scenarios` order, which erases
+/// the scheduling choice — the one dispatch behind [`run_sweep`] and
+/// every shard of a sharded campaign.
+pub(crate) fn run_config_major<W, R, F>(scenarios: &[Scenario], workers: &mut [W], run: F) -> Vec<R>
+where
+    W: Send,
+    R: Send,
+    F: Fn(&mut W, usize, &[&Scenario]) -> Vec<R> + Sync,
+{
+    let mut order: Vec<usize> = (0..scenarios.len()).collect();
+    order.sort_by_key(|&k| scenarios[k].machine_key());
+    let queue: Vec<&Scenario> = order.iter().map(|&k| &scenarios[k]).collect();
+    let mut out: Vec<Option<R>> = std::iter::repeat_with(|| None).take(order.len()).collect();
+    for (k, r) in order.into_iter().zip(run_pool(&queue, workers, run)) {
+        out[k] = Some(r);
     }
-    let chunk = chunk_size(items.len(), threads);
-    let cursor = AtomicUsize::new(0);
-    let sink: Mutex<Vec<(usize, Vec<R>)>> = Mutex::new(Vec::with_capacity(threads * 2));
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                // Each worker drains the cursor chunk by chunk, keeping
-                // results local so the sink lock is touched once per
-                // worker at the very end.
-                let mut local: Vec<(usize, Vec<R>)> = Vec::new();
-                loop {
-                    let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= items.len() {
-                        break;
-                    }
-                    let end = (start + chunk).min(items.len());
-                    let mut out = Vec::with_capacity(end - start);
-                    out.extend(items[start..end].iter().map(&f));
-                    local.push((start, out));
-                }
-                sink.lock().expect("result sink").extend(local);
-            });
-        }
-    });
-    let chunks = sink.into_inner().expect("result sink");
-    let mut slots: Vec<Option<R>> = Vec::with_capacity(items.len());
-    slots.resize_with(items.len(), || None);
-    for (start, out) in chunks {
-        for (off, r) in out.into_iter().enumerate() {
-            debug_assert!(slots[start + off].is_none(), "chunk overlap at {}", start + off);
-            slots[start + off] = Some(r);
-        }
-    }
-    slots.into_iter().map(|s| s.expect("every item produces exactly one result")).collect()
+    out.into_iter().map(|r| r.expect("every scenario produces exactly one result")).collect()
+}
+
+/// One empty runner slot per worker that `threads` yields on work-lists
+/// of `items` scenarios: a sharded campaign creates these once and lends
+/// them to every shard, so its machines outlive shard boundaries.
+pub(crate) fn runner_slots(threads: usize, items: usize) -> Vec<Option<Runner>> {
+    std::iter::repeat_with(|| None).take(effective_threads(threads, items)).collect()
 }
 
 /// Applies `f` to every `(row, col)` cell of a 2-D grid on the worker
@@ -130,18 +176,15 @@ where
 
 /// Enumerates `grid` and runs every scenario on the worker pool.
 ///
-/// Scenarios are **dispatched in config-major order** — stably grouped by
-/// their machine-shaping axes ([`Scenario::machine_key`]: cross-core
-/// scope, defense point, basic prefetcher, hierarchy) — so a worker's
-/// consecutive claims overwhelmingly share one machine configuration and
-/// its thread-local `Runner` resets in place instead of rebuilding the
-/// hierarchy on nearly every item. This is purely a *scheduling* choice:
-/// every scenario's seed is derived from `opts.campaign_seed` + its grid
-/// index (never from execution order), each result carries that index,
-/// and the report is restored to scenario-index order before returning —
-/// so the same grid and campaign seed produce **bit-identical artifacts
-/// at any thread count**, pinned against plain index-order execution by
-/// `tests/scheduling_props.rs`.
+/// Scenarios are dispatched config-major ([`run_config_major`]): each
+/// worker owns one runner for the whole sweep, and consecutive claims
+/// sharing a machine configuration reset it in place instead of
+/// rebuilding the hierarchy. This is purely a *scheduling* choice: every
+/// scenario's seed is derived from `opts.campaign_seed` + its grid index
+/// (never from execution order) and the report is in scenario-index
+/// order — so the same grid and campaign seed produce **bit-identical
+/// artifacts at any thread count**, pinned against plain index-order
+/// execution by `tests/scheduling_props.rs`.
 pub fn run_sweep(grid: &SweepGrid, opts: &SweepOptions) -> SweepReport {
     run_sweep_observed(grid, opts, None).0
 }
@@ -158,9 +201,9 @@ pub struct ChunkEvent {
     pub start: usize,
     /// Scenarios in the chunk.
     pub len: usize,
-    /// When the chunk was claimed, ms since the sweep started. The gap
-    /// from the previous `done_ms` on the same worker is its claim
-    /// latency (result-buffer bookkeeping between chunks).
+    /// When the worker started the chunk, ms since the sweep started.
+    /// The gap from the previous `done_ms` on the same worker is its
+    /// claim latency (result-buffer bookkeeping and the cursor claim).
     pub claim_ms: f64,
     /// When the chunk's last scenario finished, ms since the sweep start.
     pub done_ms: f64,
@@ -323,9 +366,11 @@ fn ms(d: Duration) -> f64 {
 /// `run_sweep` *is* this function without the extras, so the artifact is
 /// byte-identical whether or not observability is consumed; the counter
 /// merge runs in scenario-index order, making `counters` a pure function
-/// of the grid and campaign seed at any thread count. At `threads <= 1`
-/// everything executes inline on the calling thread (no pool), which is
-/// what lets `repro profile` read back its thread-local span profile.
+/// of the grid and campaign seed at any thread count. Each worker's state
+/// is its runner plus its telemetry, all dropped on return, so one call's
+/// runner reuse never leaks into the next. At `threads <= 1` everything
+/// executes inline on the calling thread (no pool), which is what lets
+/// `repro profile` read back its thread-local span profile.
 pub fn run_sweep_observed(
     grid: &SweepGrid,
     opts: &SweepOptions,
@@ -333,124 +378,64 @@ pub fn run_sweep_observed(
 ) -> (SweepReport, SweepObs) {
     let scenarios = grid.enumerate();
     let resample = grid.resample();
-    let mut order: Vec<&Scenario> = scenarios.iter().collect();
-    order.sort_by_key(|s| s.machine_key());
-    let n = order.len();
+    let n = scenarios.len();
     let threads = effective_threads(opts.threads, n);
-    let chunk = chunk_size(n.max(1), threads);
-    let order = &order[..];
-    let resample = &resample;
-
+    let mut workers: Vec<(Option<Runner>, WorkerStats, Vec<ChunkEvent>)> = (0..threads)
+        .map(|worker| {
+            let stats =
+                WorkerStats { worker, chunks: 0, scenarios: 0, busy_ms: 0.0, utilization: 0.0 };
+            (None, stats, Vec::new())
+        })
+        .collect();
     let started = Instant::now();
-    let cursor = AtomicUsize::new(0);
     let done = AtomicUsize::new(0);
-    type Ran = (ScenarioResult, ObsCounters, (u64, u64), TraceBuf);
-    let sink: Mutex<Vec<(usize, Vec<Ran>)>> = Mutex::new(Vec::with_capacity(threads * 2));
-    let tsink: Mutex<Vec<(WorkerStats, Vec<ChunkEvent>)>> = Mutex::new(Vec::with_capacity(threads));
-    let worker = |wid: usize| {
-        let mut local: Vec<(usize, Vec<Ran>)> = Vec::new();
-        let mut events: Vec<ChunkEvent> = Vec::new();
-        let mut busy = Duration::ZERO;
-        loop {
+    let ran =
+        run_config_major(&scenarios, &mut workers, |(runner, stats, events), start, chunk| {
             let claim_ms = ms(started.elapsed());
-            let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-            if start >= n {
-                break;
-            }
-            let end = (start + chunk).min(n);
-            let t0 = Instant::now();
-            let mut out = Vec::with_capacity(end - start);
-            out.extend(
-                order[start..end]
-                    .iter()
-                    .map(|s| run_scenario_with_obs(s, opts.campaign_seed, resample)),
-            );
-            busy += t0.elapsed();
-            events.push(ChunkEvent {
-                worker: wid,
-                start,
-                len: end - start,
-                claim_ms,
-                done_ms: ms(started.elapsed()),
-            });
-            local.push((start, out));
-            let total_done = done.fetch_add(end - start, Ordering::Relaxed) + (end - start);
+            let out: Vec<Ran> =
+                chunk.iter().map(|s| run_on(runner, s, opts.campaign_seed, &resample)).collect();
+            let done_ms = ms(started.elapsed());
+            let len = chunk.len();
+            stats.chunks += 1;
+            stats.scenarios += len;
+            stats.busy_ms += done_ms - claim_ms;
+            events.push(ChunkEvent { worker: stats.worker, start, len, claim_ms, done_ms });
             if let Some(p) = progress {
-                p(total_done, n);
+                p(done.fetch_add(len, Ordering::Relaxed) + len, n);
             }
-        }
-        let stats = WorkerStats {
-            worker: wid,
-            chunks: events.len(),
-            scenarios: events.iter().map(|e| e.len).sum(),
-            busy_ms: ms(busy),
-            utilization: 0.0, // filled in once the sweep's span is known
-        };
-        sink.lock().expect("result sink").extend(local);
-        tsink.lock().expect("telemetry sink").push((stats, events));
-    };
-    if threads <= 1 {
-        worker(0);
-    } else {
-        std::thread::scope(|scope| {
-            let worker = &worker;
-            for wid in 0..threads {
-                scope.spawn(move || worker(wid));
-            }
+            out
         });
-    }
     let elapsed_ms = ms(started.elapsed());
 
-    // Reassemble to scenario-index order, then fold the counters in that
-    // order — the merge is commutative anyway, but a fixed order makes
-    // the determinism contract self-evident.
-    let chunks = sink.into_inner().expect("result sink");
-    let mut slots: Vec<Option<Ran>> = Vec::with_capacity(n);
-    slots.resize_with(n, || None);
-    for (start, out) in chunks {
-        for (off, r) in out.into_iter().enumerate() {
-            debug_assert!(slots[start + off].is_none(), "chunk overlap at {}", start + off);
-            slots[start + off] = Some(r);
-        }
-    }
-    let mut by_index: Vec<Option<Ran>> = Vec::with_capacity(n);
-    by_index.resize_with(n, || None);
-    for r in slots {
-        let r = r.expect("every work-list slot produces exactly one result");
-        let index = r.0.index;
-        by_index[index] = Some(r);
-    }
+    // Fold the counters in scenario-index order — the merge is
+    // commutative anyway, but a fixed order makes the determinism
+    // contract self-evident.
     let mut counters = ObsCounters::new();
     let (mut resets, mut rebuilds) = (0u64, 0u64);
     let mut results = Vec::with_capacity(n);
     let mut traces = Vec::with_capacity(n);
-    for r in by_index {
-        let (result, obs, (rs, rb), trace) =
-            r.expect("every scenario index produces exactly one result");
+    for (result, obs, (rs, rb), trace) in ran {
         counters.merge(&obs);
         resets += rs;
         rebuilds += rb;
         traces.push((result.id.clone(), trace));
         results.push(result);
     }
-
-    let mut worker_data = tsink.into_inner().expect("telemetry sink");
-    worker_data.sort_by_key(|(w, _)| w.worker);
-    let mut workers = Vec::with_capacity(worker_data.len());
+    let mut stats = Vec::with_capacity(threads);
     let mut events = Vec::new();
-    for (mut w, ev) in worker_data {
+    for (_, mut w, ev) in workers {
         w.utilization = if elapsed_ms > 0.0 { (w.busy_ms / elapsed_ms).min(1.0) } else { 0.0 };
-        workers.push(w);
+        stats.push(w);
         events.extend(ev);
     }
     let telemetry = SweepTelemetry {
         threads,
-        chunk,
+        chunk: chunk_size(n, threads),
         elapsed_ms,
         scenarios_per_sec: if elapsed_ms > 0.0 { n as f64 / (elapsed_ms / 1e3) } else { 0.0 },
         resets,
         rebuilds,
-        workers,
+        workers: stats,
         events,
     };
     let report = SweepReport { campaign_seed: opts.campaign_seed, results };

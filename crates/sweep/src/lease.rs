@@ -63,6 +63,7 @@ use crate::checkpoint::{
     io_err, load_manifest, quarantine, run_shard_range, shard_header, sweep_stale_tmps,
     CampaignError, Manifest, SHARD_DIR,
 };
+use crate::engine::runner_slots;
 use crate::record::ScenarioResult;
 use crate::shard::{decode_shard, encode_shard, fnv1a64, shard_file_name, ShardHeader};
 
@@ -558,6 +559,7 @@ pub fn work_campaign(
     let fingerprint = manifest.fingerprint();
     let n = manifest.plan().n_shards();
     let mut summary = WorkSummary { shards: n, ..WorkSummary::default() };
+    let mut runners = runner_slots(opts.threads, manifest.shard_size);
     let mut done = vec![false; n];
     let mut done_count = 0usize;
     // A peer's short shard commits within milliseconds, so waiting for
@@ -629,7 +631,7 @@ pub fn work_campaign(
                         header.start..header.end,
                         manifest.campaign_seed,
                         &resample,
-                        opts.threads,
+                        &mut runners,
                     );
                     failpoint("shard.write").map_err(io_err(&path))?;
                     write_atomic(&path, encode_shard(&header, &shard_results))
@@ -689,8 +691,6 @@ mod tests {
     use crate::checkpoint::init_campaign;
     use crate::engine::{run_sweep, SweepOptions};
     use crate::grid::SweepGrid;
-    use crate::testgate::FAILPOINT_GATE;
-    use std::sync::PoisonError;
 
     fn scratch(tag: &str) -> PathBuf {
         let dir =
@@ -867,9 +867,6 @@ mod tests {
 
     #[test]
     fn heartbeat_stop_wakes_the_thread_at_once() {
-        // Claims and renewals would spend the one-shot rules a gated
-        // test arms, so this test runs apart from those.
-        let _g = FAILPOINT_GATE.lock().unwrap_or_else(PoisonError::into_inner);
         let dir = scratch("prompt-stop");
         fs::create_dir_all(&dir).unwrap();
         let cfg = LeaseConfig::default();
@@ -897,7 +894,6 @@ mod tests {
 
     #[test]
     fn dropping_a_heartbeat_ends_its_renewals() {
-        let _g = FAILPOINT_GATE.lock().unwrap_or_else(PoisonError::into_inner);
         let dir = scratch("hb-drop");
         fs::create_dir_all(&dir).unwrap();
         let cfg = LeaseConfig { ttl_ms: 1000, renew_ms: 5 };
@@ -928,41 +924,6 @@ mod tests {
             }
             assert!(std::time::Instant::now() < deadline, "a dropped heartbeat kept renewing");
         }
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn lease_failpoints_inject_errors() {
-        let _g = FAILPOINT_GATE.lock().unwrap_or_else(PoisonError::into_inner);
-        let dir = scratch("failpoints");
-        fs::create_dir_all(&dir).unwrap();
-        let cfg = LeaseConfig::with_ttl_ms(20);
-        let mut counters = ObsCounters::new();
-        let mut sink = |_: WorkEvent| {};
-        prefender_obs::arm_failpoints("lease.claim=err").unwrap();
-        let err = claim_shard(&dir, 0, 0xF00D, &cfg, &mut counters, &mut sink).unwrap_err();
-        assert!(err.to_string().contains("lease.claim"), "{err}");
-        prefender_obs::arm_failpoints("lease.renew=err").unwrap();
-        let Claim::Claimed { lease, .. } =
-            claim_shard(&dir, 0, 0xF00D, &cfg, &mut counters, &mut sink).unwrap()
-        else {
-            panic!("claim must win")
-        };
-        let err = lease.renew().unwrap_err();
-        assert!(err.to_string().contains("lease.renew"), "{err}");
-        // A stale lease whose break faults surfaces the break error.
-        let stale = LeaseInfo {
-            pid: 1,
-            token: 0x2,
-            fingerprint: 0xF00D,
-            shard: 5,
-            heartbeat_ms: now_ms().saturating_sub(10_000),
-        };
-        fs::write(dir.join(LEASE_DIR).join(lease_file_name(5)), stale.encode()).unwrap();
-        prefender_obs::arm_failpoints("lease.break=err").unwrap();
-        let err = claim_shard(&dir, 5, 0xF00D, &cfg, &mut counters, &mut sink).unwrap_err();
-        assert!(err.to_string().contains("lease.break"), "{err}");
-        prefender_obs::disarm_failpoints();
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -8,8 +8,10 @@
 //! * [`SweepGrid`] — a declarative description of the scenario space,
 //!   enumerated into a flat, stably-ordered work-list of [`Scenario`]s;
 //! * [`run_sweep`] — shards the work-list across a worker-thread pool
-//!   (each worker owns its own `Machine` + `MemorySystem`; no shared
-//!   mutable state) and aggregates per-scenario [`ScenarioResult`]s.
+//!   (each worker owns one reusable runner — a `Machine` +
+//!   `MemorySystem` — and lends it to every scenario it runs, across
+//!   every shard of a sharded campaign; no shared mutable state) and
+//!   aggregates per-scenario [`ScenarioResult`]s.
 //!   Results are **bit-identical regardless of thread count**: every
 //!   scenario's probe seed is derived from the campaign seed and the
 //!   scenario index, and the output is ordered by scenario index;
@@ -61,9 +63,7 @@ pub use lease::{
     WorkEvent, WorkOptions, WorkSummary, LEASE_DIR,
 };
 pub use record::{ScenarioResult, REPORT_SCHEMA_VERSION};
-pub use scenario::{
-    basic_tag, run_scenario, run_scenario_with, run_scenario_with_obs, Payload, Scenario,
-};
+pub use scenario::{basic_tag, run_scenario_with, Payload, Scenario};
 #[cfg(unix)]
 pub use serve::{
     done_line, event_line, hello_line, serve_campaign, ServeOptions, ServeSummary, WorkerReport,
@@ -81,10 +81,3 @@ pub use prefender_leakage::{NullTest, ResampleOptions};
 #[cfg(test)]
 #[path = "../tests/fixture/mod.rs"]
 mod fixture;
-
-/// Failpoints are process-global; tests across this crate's modules
-/// that arm them serialize on this gate.
-#[cfg(test)]
-pub(crate) mod testgate {
-    pub static FAILPOINT_GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
-}

@@ -1,10 +1,9 @@
 //! Scenarios: one grid point and its execution.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
 
-use prefender_attacks::{machine_obs, AttackOutcome, AttackSpec, Basic, RunMetrics, Runner};
+use prefender_attacks::{machine_obs, AttackSpec, Basic, RunMetrics, Runner};
 use prefender_cpu::Machine;
 use prefender_leakage::{LeakageCampaign, ResampleOptions};
 use prefender_obs::{take_thread_trace, ObsCounters, TraceBuf};
@@ -157,24 +156,13 @@ pub fn basic_from_tag(tag: &str) -> Option<Basic> {
     Basic::ALL.into_iter().find(|&b| basic_tag(b) == tag)
 }
 
-/// Runs one scenario to completion without any resampling analysis.
-/// Equivalent to [`run_scenario_with`] at default (disabled)
-/// [`ResampleOptions`].
-///
-/// # Panics
-///
-/// Panics if a workload payload names a workload missing from the
-/// catalog, or if an attack run fails outright (invalid hierarchy); grid
-/// builders validate both up front.
-pub fn run_scenario(s: &Scenario, campaign_seed: u64) -> ScenarioResult {
-    run_scenario_with(s, campaign_seed, &ResampleOptions::default())
-}
-
-/// Runs one scenario to completion. Pure: builds a private machine,
-/// runs, measures — safe to call from any worker thread. Leakage
-/// scenarios run `resample`'s permutation-null and bootstrap analyses
-/// with seeds derived from the scenario seed, so the statistical columns
-/// are as thread-count-independent as the raw metrics.
+/// Runs one scenario to completion on a private runner, built for it and
+/// dropped after — safe to call from any thread. Leakage scenarios run
+/// `resample`'s permutation-null and bootstrap analyses with seeds
+/// derived from the scenario seed, so the statistical columns are as
+/// thread-count-independent as the raw metrics. Campaigns go through the
+/// engine instead, where each worker owns one runner and lends it to
+/// every scenario it runs.
 ///
 /// # Panics
 ///
@@ -186,64 +174,63 @@ pub fn run_scenario_with(
     campaign_seed: u64,
     resample: &ResampleOptions,
 ) -> ScenarioResult {
-    let seed = s.derived_seed(campaign_seed);
-    match &s.payload {
-        Payload::Attack(case) => run_attack_scenario(s, case, seed),
-        Payload::Workload(name) => run_workload_scenario(s, name, seed),
-        Payload::Leakage { case, n_secrets, trials, jitter } => {
-            run_leakage_scenario(s, case, *n_secrets, *trials, *jitter, seed, resample)
-        }
-    }
+    run_on(&mut None, s, campaign_seed, resample).0
 }
 
-/// Like [`run_scenario_with`], but also harvesting the scenario's
-/// observability counters, the `(resets, rebuilds)` runner-reuse
-/// tallies, and — when the flight recorder is armed — the scenario's
-/// trace. The counters and trace are pure functions of the scenario
-/// (runner reuse is bit-exact), so per-scenario blocks — and any
-/// order-independent merge of them — are identical at every thread
-/// count. The reuse tallies are *not*: they depend on which scenarios a
-/// worker ran before, so obs reports keep them in the
+/// One scenario's output: its result, observability counters,
+/// `(resets, rebuilds)` runner-reuse tallies and flight-recorder trace.
+pub(crate) type Ran = (ScenarioResult, ObsCounters, (u64, u64), TraceBuf);
+
+/// Runs one scenario on the runner in `slot` (built there on first use;
+/// attack and leakage payloads reuse it through an in-place reset when
+/// the machine shape matches). Reuse is bit-exact, so the result,
+/// counters and trace are pure functions of the scenario and identical
+/// at every thread count. The reuse tallies are *not*: they depend on
+/// what the runner ran before, so obs reports keep them in the
 /// scheduling-dependent `timing` section.
 ///
 /// # Panics
 ///
 /// See [`run_scenario_with`].
-pub fn run_scenario_with_obs(
+pub(crate) fn run_on(
+    slot: &mut Option<Runner>,
     s: &Scenario,
     campaign_seed: u64,
     resample: &ResampleOptions,
-) -> (ScenarioResult, ObsCounters, (u64, u64), TraceBuf) {
-    if let Payload::Workload(name) = &s.payload {
-        let seed = s.derived_seed(campaign_seed);
-        // Workload payloads run on a private machine, not the cached
-        // runner, so their trace lands directly in the thread buffer:
-        // discard anything stale, run, then drain.
-        let _ = take_thread_trace();
-        let (result, obs) = run_workload_scenario_obs(s, name, seed);
-        return (result, obs, (0, 1), take_thread_trace());
-    }
-    // Drop whatever this thread's cached runner accumulated for earlier
-    // callers that never drained (plain `run_scenario` runs), so the
-    // post-run drain below is exactly this scenario's contribution.
-    drain_thread_runner();
+) -> Ran {
+    let seed = s.derived_seed(campaign_seed);
+    // Discard whatever an earlier caller left in the thread's trace
+    // buffer, so the drains below hold exactly this scenario's events.
     let _ = take_thread_trace();
-    let result = run_scenario_with(s, campaign_seed, resample);
-    let (obs, reuse, mut trace) = drain_thread_runner();
+    let result = match &s.payload {
+        Payload::Attack(case) => run_attack_scenario(s, case, seed, slot),
+        Payload::Workload(name) => {
+            // A workload runs on a private machine, not the runner.
+            let (result, obs) = run_workload_scenario(s, name, seed);
+            return (result, obs, (0, 1), take_thread_trace());
+        }
+        Payload::Leakage { case, n_secrets, trials, jitter } => {
+            let base = attack_spec(s, case, seed).with_latency_jitter(*jitter);
+            let campaign =
+                LeakageCampaign::new(base, (*n_secrets).max(1) as usize, (*trials).max(1));
+            run_leakage_scenario(s, &campaign, seed, resample, slot)
+        }
+    };
+    let runner = slot.as_mut().expect("attack payloads run on the runner");
+    let mut trace = runner.take_trace();
     // Events emitted outside the runner's per-run drains (machine
     // construction, spec setup) belong to this scenario too.
     trace.merge(take_thread_trace());
-    (result, obs, reuse, trace)
+    (result, runner.take_obs(), runner.take_reuse_counts(), trace)
 }
 
-/// Drains the calling thread's cached runner: its accumulated counters,
-/// `(resets, rebuilds)` tallies, and trace buffer, all zeroed. All-empty
-/// when the thread has no runner yet.
-fn drain_thread_runner() -> (ObsCounters, (u64, u64), TraceBuf) {
-    ATTACK_RUNNER.with(|cell| match cell.borrow_mut().as_mut() {
-        Some(r) => (r.take_obs(), r.take_reuse_counts(), r.take_trace()),
-        None => (ObsCounters::new(), (0, 0), TraceBuf::default()),
-    })
+/// The runner in `slot`, built for `spec`'s machine shape if the slot is
+/// empty (a runner rebuilds itself when a later spec's shape differs).
+fn lend<'a>(slot: &'a mut Option<Runner>, s: &Scenario, spec: &AttackSpec) -> &'a mut Runner {
+    if slot.is_none() {
+        *slot = Some(Runner::new(spec).unwrap_or_else(|e| panic!("scenario {}: {e}", s.id())));
+    }
+    slot.as_mut().expect("populated above")
 }
 
 /// The base attack spec of a scenario (seed applied by the caller).
@@ -260,25 +247,20 @@ fn attack_spec(s: &Scenario, case: &AttackCase, seed: u64) -> AttackSpec {
 
 fn run_leakage_scenario(
     s: &Scenario,
-    case: &AttackCase,
-    n_secrets: u32,
-    trials: u32,
-    jitter: u64,
+    campaign: &LeakageCampaign,
     seed: u64,
     resample: &ResampleOptions,
+    slot: &mut Option<Runner>,
 ) -> ScenarioResult {
-    let base = attack_spec(s, case, seed).with_latency_jitter(jitter);
-    let campaign = LeakageCampaign::new(base, n_secrets.max(1) as usize, trials.max(1));
     // The resampling seed streams inside `run_with_runner` derive from
     // the scenario seed, so the null test and CIs — like every other
     // column — depend only on the campaign seed and grid shape, never
     // the thread count. The campaign batches its secrets × trials over
-    // the calling worker's cached runner: under config-major dispatch,
-    // consecutive leakage cells share one machine via in-place resets.
-    let r = with_thread_runner(&campaign.base, |runner| {
-        campaign.run_with_runner(seed, resample, runner)
-    })
-    .unwrap_or_else(|e| panic!("scenario {}: {e}", s.id()));
+    // the worker's runner: under config-major dispatch, consecutive
+    // leakage cells share one machine via in-place resets.
+    let r = campaign
+        .run_with_runner(seed, resample, lend(slot, s, &campaign.base))
+        .unwrap_or_else(|e| panic!("scenario {}: {e}", s.id()));
     ScenarioResult {
         latency_hist: r.latency_hist.counts().collect(),
         mi_bits: Some(r.mi_bits),
@@ -296,42 +278,15 @@ fn run_leakage_scenario(
     }
 }
 
-thread_local! {
-    /// One cached [`Runner`] per worker thread: consecutive scenarios
-    /// sharing machine-shaping axes reuse the machine via an in-place
-    /// reset (the `Runner` itself rebuilds on a configuration change).
-    /// Reuse is bit-exact, so results stay independent of which
-    /// scenarios a thread happened to run before — the determinism
-    /// contract (byte-identical artifacts at any thread count) holds.
-    static ATTACK_RUNNER: RefCell<Option<Runner>> = const { RefCell::new(None) };
-}
-
-/// Hands the calling thread's cached [`Runner`] (created on first use,
-/// shaped for `spec`) to `f`.
-fn with_thread_runner<R>(
-    spec: &AttackSpec,
-    f: impl FnOnce(&mut Runner) -> Result<R, prefender_attacks::AttackError>,
-) -> Result<R, prefender_attacks::AttackError> {
-    ATTACK_RUNNER.with(|cell| {
-        let mut slot = cell.borrow_mut();
-        if slot.is_none() {
-            *slot = Some(Runner::new(spec)?);
-        }
-        f(slot.as_mut().expect("populated above"))
-    })
-}
-
-/// Runs `spec` on the calling thread's cached [`Runner`].
-fn run_attack_cached(
-    spec: &AttackSpec,
-) -> Result<(AttackOutcome, RunMetrics), prefender_attacks::AttackError> {
-    with_thread_runner(spec, |runner| runner.run_full(spec))
-}
-
-fn run_attack_scenario(s: &Scenario, case: &AttackCase, seed: u64) -> ScenarioResult {
+fn run_attack_scenario(
+    s: &Scenario,
+    case: &AttackCase,
+    seed: u64,
+    slot: &mut Option<Runner>,
+) -> ScenarioResult {
     let spec = attack_spec(s, case, seed);
     let (outcome, metrics) =
-        run_attack_cached(&spec).unwrap_or_else(|e| panic!("scenario {}: {e}", s.id()));
+        lend(slot, s, &spec).run_full(&spec).unwrap_or_else(|e| panic!("scenario {}: {e}", s.id()));
     let mut hist: BTreeMap<u64, u64> = BTreeMap::new();
     for p in &outcome.samples {
         *hist.entry(p.latency).or_insert(0) += 1;
@@ -349,11 +304,7 @@ pub(crate) fn catalog_workload(name: &str) -> Option<Workload> {
     prefender_workloads::all().into_iter().find(|w| w.name() == name)
 }
 
-fn run_workload_scenario(s: &Scenario, name: &str, seed: u64) -> ScenarioResult {
-    run_workload_scenario_obs(s, name, seed).0
-}
-
-fn run_workload_scenario_obs(s: &Scenario, name: &str, seed: u64) -> (ScenarioResult, ObsCounters) {
+fn run_workload_scenario(s: &Scenario, name: &str, seed: u64) -> (ScenarioResult, ObsCounters) {
     let w = catalog_workload(name)
         .unwrap_or_else(|| panic!("scenario {}: unknown workload `{name}`", s.id()));
     let mut m = Machine::new(s.hierarchy.config(1));
@@ -380,6 +331,10 @@ fn run_workload_scenario_obs(s: &Scenario, name: &str, seed: u64) -> (ScenarioRe
 mod tests {
     use super::*;
     use prefender_attacks::{AttackKind, DefenseConfig, NoiseSpec};
+
+    fn run_scenario(s: &Scenario, campaign_seed: u64) -> ScenarioResult {
+        run_scenario_with(s, campaign_seed, &ResampleOptions::default())
+    }
 
     fn attack_scenario(defense: DefenseConfig) -> Scenario {
         Scenario {

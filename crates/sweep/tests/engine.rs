@@ -2,8 +2,8 @@
 //! enumeration.
 
 use prefender_sweep::{
-    run_sweep, AttackCase, AttackKind, Basic, DefenseConfig, DefensePoint, Hierarchy, NoiseSpec,
-    SweepGrid, SweepOptions,
+    run_sweep, run_sweep_observed, AttackCase, AttackKind, Basic, DefenseConfig, DefensePoint,
+    Hierarchy, NoiseSpec, SweepGrid, SweepOptions,
 };
 
 /// A small mixed grid touching every axis: two attack cases, a workload
@@ -88,6 +88,25 @@ fn resampled_artifacts_are_byte_identical_across_thread_counts() {
     assert!(open.mi_p_value.unwrap() < 0.05, "open p = {:?}", open.mi_p_value);
     let sealed = one.by_id("leak:fr:4x2/full32/none/paper/s0").unwrap();
     assert!(sealed.mi_p_value.unwrap() >= 0.05, "sealed p = {:?}", sealed.mi_p_value);
+}
+
+/// A sweep's workers own their runners for that call only: a second
+/// one-thread sweep on the same thread builds its machine again rather
+/// than inheriting the first call's runner, so both report the same
+/// reuse tallies (one build, then an in-place reset per scenario).
+#[test]
+fn runner_state_does_not_leak_between_calls() {
+    let mut grid = SweepGrid::security_quick();
+    grid.defenses = vec![DefensePoint::new(DefenseConfig::Full)];
+    grid.seeds = 3;
+    let opts = SweepOptions { threads: 1, campaign_seed: 0xC0FFEE };
+    let reuse = || {
+        let (_, obs) = run_sweep_observed(&grid, &opts, None);
+        (obs.telemetry.resets, obs.telemetry.rebuilds)
+    };
+    let first = reuse();
+    assert_eq!(first, (3, 1), "one machine configuration: one build, three resets");
+    assert_eq!(reuse(), first, "the second call must not reuse the first call's runner");
 }
 
 /// Grid enumeration: the count matches the axis product and every
