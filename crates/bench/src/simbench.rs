@@ -24,7 +24,7 @@ use std::time::Instant;
 
 use prefender_attacks::{run_attack_full, AttackKind, AttackSpec, DefenseConfig, Runner};
 use prefender_obs::{
-    arm_trace, disarm_trace, enable_spans, take_thread_profile, take_thread_trace, HostInfo,
+    arm_trace, disarm_trace, enable_spans, take_thread_profile, take_thread_trace, HostInfo, Value,
 };
 use prefender_sim::{AccessKind, Addr, Cycle, HierarchyConfig, MemorySystem, PrefetchSource};
 
@@ -66,27 +66,25 @@ pub struct SimBenchReport {
 impl SimBenchReport {
     /// The `BENCH_sim.json` body (one JSON object, trailing newline).
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\"bench\": \"sim\"");
-        let _ = write!(s, ", \"access_hit_per_sec\": {:.1}", self.access_hit_per_sec);
-        let _ = write!(s, ", \"access_hit_obs_per_sec\": {:.1}", self.access_hit_obs_per_sec);
-        let _ = write!(s, ", \"access_hit_trace_per_sec\": {:.1}", self.access_hit_trace_per_sec);
-        let _ = write!(s, ", \"storm_ops_per_sec\": {:.1}", self.storm_ops_per_sec);
-        s.push_str(", \"leakage_cells\": [");
-        for (i, c) in self.cells.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            let _ = write!(
-                s,
-                "{{\"cell\": \"{}\", \"trials\": {}, \"fresh_sims_per_sec\": {:.1}, \
-                 \"runner_sims_per_sec\": {:.1}, \"speedup\": {:.2}}}",
-                c.label, c.trials, c.fresh_sims_per_sec, c.runner_sims_per_sec, c.speedup
-            );
-        }
-        s.push(']');
-        let _ = write!(s, ", \"host\": {}", HostInfo::capture().json_inline());
-        s.push_str("}\n");
-        s
+        let cells = self.cells.iter().map(|c| {
+            Value::Obj(vec![
+                ("cell".into(), Value::Str(c.label.into())),
+                ("trials".into(), Value::U64(c.trials.into())),
+                ("fresh_sims_per_sec".into(), Value::F64(c.fresh_sims_per_sec)),
+                ("runner_sims_per_sec".into(), Value::F64(c.runner_sims_per_sec)),
+                ("speedup".into(), Value::F64(c.speedup)),
+            ])
+        });
+        let record = Value::Obj(vec![
+            ("bench".into(), Value::Str("sim".into())),
+            ("access_hit_per_sec".into(), Value::F64(self.access_hit_per_sec)),
+            ("access_hit_obs_per_sec".into(), Value::F64(self.access_hit_obs_per_sec)),
+            ("access_hit_trace_per_sec".into(), Value::F64(self.access_hit_trace_per_sec)),
+            ("storm_ops_per_sec".into(), Value::F64(self.storm_ops_per_sec)),
+            ("leakage_cells".into(), Value::Arr(cells.collect())),
+            ("host".into(), HostInfo::capture().to_value()),
+        ]);
+        record.to_json_inline() + "\n"
     }
 
     /// Human-readable table.
@@ -283,9 +281,10 @@ mod tests {
         };
         let j = r.to_json();
         assert!(j.starts_with("{\"bench\": \"sim\""));
-        assert!(j.contains("\"access_hit_obs_per_sec\": 990.0"));
-        assert!(j.contains("\"access_hit_trace_per_sec\": 800.0"));
-        assert!(j.contains("\"speedup\": 4.00"));
+        assert!(j.contains("\"access_hit_obs_per_sec\": 990,"));
+        assert!(j.contains("\"access_hit_trace_per_sec\": 800,"));
+        assert!(j.contains("\"storm_ops_per_sec\": 2000.5,"));
+        assert!(j.contains("\"speedup\": 4}"));
         // The host block closes the record (after the cells array).
         assert!(j.contains("], \"host\": {\"nproc\": "));
         assert!(j.ends_with("}\n"));

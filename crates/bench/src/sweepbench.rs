@@ -15,7 +15,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use prefender_obs::HostInfo;
+use prefender_obs::{HostInfo, Value};
 use prefender_sweep::{run_sweep, AttackCase, AttackKind, NoiseSpec, SweepGrid, SweepOptions};
 
 /// `BENCH_sweep.json` schema version written by [`run`].
@@ -52,33 +52,25 @@ pub struct SweepBenchReport {
 impl SweepBenchReport {
     /// The `BENCH_sweep.json` body (one JSON object, trailing newline).
     pub fn to_json(&self) -> String {
-        let mut s = format!(
-            "{{\"bench\": \"sweep\", \"schema_version\": {SWEEP_BENCH_SCHEMA_VERSION}, \"rows\": ["
-        );
-        for (i, r) in self.rows.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            let _ = write!(
-                s,
-                "{{\"threads\": {}, \"scenarios\": {}, \"sims\": {}, \
-                 \"elapsed_secs\": {:.6}, \"scenarios_per_sec\": {:.3}, \
-                 \"sims_per_sec\": {:.3}, \"speedup_vs_1t\": {:.3}, \
-                 \"parallel_efficiency\": {:.3}}}",
-                r.threads,
-                r.scenarios,
-                r.sims,
-                r.elapsed_secs,
-                r.scenarios_per_sec,
-                r.sims_per_sec,
-                r.speedup_vs_1t,
-                r.parallel_efficiency
-            );
-        }
-        s.push(']');
-        let _ = write!(s, ", \"host\": {}", HostInfo::capture().json_inline());
-        s.push_str("}\n");
-        s
+        let rows = self.rows.iter().map(|r| {
+            Value::Obj(vec![
+                ("threads".into(), Value::U64(r.threads as u64)),
+                ("scenarios".into(), Value::U64(r.scenarios as u64)),
+                ("sims".into(), Value::U64(r.sims)),
+                ("elapsed_secs".into(), Value::F64(r.elapsed_secs)),
+                ("scenarios_per_sec".into(), Value::F64(r.scenarios_per_sec)),
+                ("sims_per_sec".into(), Value::F64(r.sims_per_sec)),
+                ("speedup_vs_1t".into(), Value::F64(r.speedup_vs_1t)),
+                ("parallel_efficiency".into(), Value::F64(r.parallel_efficiency)),
+            ])
+        });
+        let record = Value::Obj(vec![
+            ("bench".into(), Value::Str("sweep".into())),
+            ("schema_version".into(), Value::U64(SWEEP_BENCH_SCHEMA_VERSION.into())),
+            ("rows".into(), Value::Arr(rows.collect())),
+            ("host".into(), HostInfo::capture().to_value()),
+        ]);
+        record.to_json_inline() + "\n"
     }
 
     /// Human-readable table.
@@ -218,7 +210,8 @@ mod tests {
         };
         let j = r.to_json();
         assert!(j.starts_with("{\"bench\": \"sweep\", \"schema_version\": 2, \"rows\": ["));
-        assert!(j.contains("\"parallel_efficiency\": 0.500"));
+        assert!(j.contains("\"elapsed_secs\": 0.125,"));
+        assert!(j.contains("\"parallel_efficiency\": 0.5}"));
         // The host block closes the record (after the rows array).
         assert!(j.contains("], \"host\": {\"nproc\": "));
         assert!(j.ends_with("}\n"));

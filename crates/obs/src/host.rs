@@ -44,30 +44,6 @@ impl HostInfo {
             ("timestamp_unix".into(), Value::U64(self.timestamp_unix)),
         ])
     }
-
-    /// The host block as a single-line JSON object, for embedding in the
-    /// hand-rolled bench reports.
-    pub fn json_inline(&self) -> String {
-        let model = match &self.model_name {
-            Some(m) => {
-                let mut esc = String::with_capacity(m.len() + 2);
-                for c in m.chars() {
-                    match c {
-                        '"' => esc.push_str("\\\""),
-                        '\\' => esc.push_str("\\\\"),
-                        c if (c as u32) < 0x20 => esc.push(' '),
-                        c => esc.push(c),
-                    }
-                }
-                format!("\"{esc}\"")
-            }
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\"nproc\": {}, \"model_name\": {}, \"timestamp_unix\": {}}}",
-            self.nproc, model, self.timestamp_unix
-        )
-    }
 }
 
 #[cfg(test)]
@@ -88,12 +64,12 @@ mod tests {
             model_name: Some("Fake \"CPU\" 9000".into()),
             timestamp_unix: 1_700_000_000,
         };
-        let j = h.json_inline();
+        let j = h.to_value().to_json_inline();
         assert!(j.starts_with("{\"nproc\": 8, \"model_name\": \"Fake \\\"CPU\\\" 9000\""));
         assert!(j.ends_with("\"timestamp_unix\": 1700000000}"));
         let none = HostInfo { nproc: 1, model_name: None, timestamp_unix: 0 };
         assert_eq!(
-            none.json_inline(),
+            none.to_value().to_json_inline(),
             "{\"nproc\": 1, \"model_name\": null, \"timestamp_unix\": 0}"
         );
     }

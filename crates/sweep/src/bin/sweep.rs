@@ -1,84 +1,9 @@
 //! `sweep` — run a scenario grid in parallel and emit artifacts.
 //!
-//! ```text
-//! sweep [options]
-//!
-//! grid selection:
-//!   --attacks LIST      fr,er,pp | all | none            [default: all]
-//!   --noise LIST        none,c3,c4,c3c4                  [default: all four]
-//!   --cross-core MODE   single | cross | both            [default: single]
-//!   --defenses LIST     base,st,at,stat,atrp,full | all  [default: all]
-//!   --buffers LIST      access-buffer counts             [default: 32]
-//!   --basics LIST       none,tagged,stride               [default: none]
-//!   --hierarchies LIST  paper,bigl2,sml1d,fifo | all     [default: paper]
-//!   --workloads LIST    names | spec2006 | spec2017 | all | none [default: none]
-//!   --leakage LIST      fr,er,pp | all | none — leakage campaigns [default: none]
-//!   --secrets N         secrets per leakage campaign     [default: 8]
-//!   --trials N          trials per secret                [default: 4]
-//!   --jitter N          attacker timer noise, cycles/probe [default: 0]
-//!   --permutations N    label permutations for the MI null test
-//!                       (p-value + null q95 per campaign) [default: 0]
-//!   --bootstrap N       bootstrap resamples for the MI confidence
-//!                       interval                         [default: 0]
-//!   --alpha F           bootstrap CI level, in (0,1)     [default: 0.05]
-//!   --seeds N           seed repetitions per grid point  [default: 1]
-//!
-//! execution / output:
-//!   --threads N         worker threads (0 = all CPUs)    [default: 0]
-//!   --seed HEX|DEC      campaign seed                    [default: 0xC0FFEE]
-//!   --out DIR           write DIR/sweep.json + DIR/sweep.csv
-//!                       (+ DIR/leakage.json + DIR/leakage.csv when the
-//!                       grid has leakage campaigns)      [default: .]
-//!   --shard-size N      crash-safe campaign: run the grid in shards of
-//!                       at most N scenarios, committing each to
-//!                       DIR/shards/ atomically with a checksummed
-//!                       footer, under a DIR/campaign.manifest
-//!   --resume DIR        continue the sharded campaign recorded in DIR:
-//!                       complete shards are loaded, truncated/corrupt/
-//!                       foreign ones quarantined and re-run; the final
-//!                       artifacts are byte-identical to an
-//!                       uninterrupted run. Conflicts with every
-//!                       grid-shaping flag (the manifest fixes the grid)
-//!   --bench-json PATH   also write a throughput record (BENCH_sweep.json)
-//!   --list              print the enumerated scenario grid (ids + counts,
-//!                       distinct machine configs, estimated sims) and
-//!                       exit without running anything
-//!   --quiet             no per-scenario table, summary only
-//!
-//! observability (all off by default; artifacts are byte-identical
-//! either way):
-//!   --progress          throttled stderr progress line (rate + ETA)
-//!   --obs               write DIR/obs.json: deterministic counters plus
-//!                       an explicitly-marked wall-clock `timing` section
-//!   --obs-out PATH      write the chunk-claim event stream as JSONL
-//!   --trace             arm the flight recorder; write the per-scenario
-//!                       event trace as DIR/trace.jsonl (deterministic:
-//!                       byte-identical at any --threads value, and the
-//!                       other artifacts are byte-identical with or
-//!                       without it)
-//!   --trace-out PATH    trace JSONL destination (requires --trace)
-//!
-//! multi-process campaigns (EXPERIMENTS.md "Multi-process campaigns"):
-//!   sweep work DIR [--threads N] [--lease-ttl-ms MS] [--sock PATH]
-//!                  [--worker-id K] [--quiet]
-//!                       one worker: claim-execute-commit over DIR's
-//!                       manifest until every shard is committed. Safe
-//!                       to run N at once — shards are guarded by
-//!                       heartbeat leases under DIR/leases/, stale
-//!                       leases are broken, and artifacts stay
-//!                       byte-identical to a 1-process run
-//!   sweep serve DIR --workers N [--worker-threads N] [--restart-budget N]
-//!                  [--lease-ttl-ms MS] [--stall-timeout-ms MS]
-//!                  [--worker-failpoints SPEC] [--quiet] [grid flags]
-//!                       spawn and supervise N `sweep work` children
-//!                       over a Unix socket: restarts dead workers
-//!                       (within the budget, then degrades), kills
-//!                       stalled fleets, heals leftovers in-process,
-//!                       writes the final artifacts. Grid/--seed/
-//!                       --shard-size flags initialize DIR when it has
-//!                       no manifest yet; an existing manifest fixes
-//!                       the grid and rejects them
-//! ```
+//! `sweep --help` prints every flag of `sweep`, `sweep work` and
+//! `sweep serve` (the multi-process modes, EXPERIMENTS.md "Multi-process
+//! campaigns"), with its class, default and the values each grid axis
+//! takes.
 //!
 //! Leakage campaigns (`--leakage`) share the noise / cross-core /
 //! defense / basic / hierarchy axes with `--attacks`; each campaign runs
@@ -89,31 +14,209 @@
 //! interval (`mi_ci_lo`/`mi_ci_hi`) — both fully deterministic, so
 //! artifacts stay byte-identical at any `--threads` value.
 
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Instant;
 
-use prefender_obs::{write_atomic, HostInfo, ProgressReporter};
+use prefender_obs::{write_atomic, HostInfo, ProgressReporter, Value};
 use prefender_sweep::{
-    resume_sharded, run_sharded, run_sweep_observed, AttackCase, AttackKind, Basic, DefenseConfig,
-    DefensePoint, Hierarchy, NoiseSpec, SweepGrid, SweepOptions, SweepReport,
+    basic_from_tag, basic_tag, resume_sharded, run_sharded, run_sweep_observed, AttackCase,
+    AttackKind, Basic, DefenseConfig, DefensePoint, Hierarchy, NoiseSpec, SweepGrid, SweepOptions,
+    SweepReport,
 };
+use Class::{Exec, Grid, Output, Stream};
+
+/// What a flag touches, which decides the flags it combines with:
+/// `--resume` takes only `Exec` flags (the manifest fixes the rest),
+/// `--shard-size` refuses `Stream` flags, and `serve` creates a
+/// campaign from `Grid` flags only.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Class {
+    /// Shapes the grid, its seed or its shard plan.
+    Grid,
+    /// Changes how a run executes, never what it writes.
+    Exec,
+    /// An in-process observation stream or listing.
+    Stream,
+    /// Where results go.
+    Output,
+}
+
+/// One flag of one subcommand.
+#[derive(Debug, PartialEq)]
+struct Flag {
+    name: &'static str,
+    /// The value's metavar; empty for a switch.
+    value: &'static str,
+    class: Class,
+    help: &'static str,
+}
+
+const fn row(name: &'static str, value: &'static str, class: Class, help: &'static str) -> Flag {
+    Flag { name, value, class, help }
+}
+
+/// `sweep`'s flags.
+const SWEEP: &[Flag] = &[
+    row("--attacks", "LIST", Grid, "attack kinds, all or none [default: all]"),
+    row("--noise", "LIST", Grid, "challenge-noise mixes [default: all four]"),
+    row("--cross-core", "MODE", Grid, "single, cross or both [default: single]"),
+    row("--defenses", "LIST", Grid, "defense configurations or all [default: all]"),
+    row("--buffers", "LIST", Grid, "access-buffer counts [default: 32]"),
+    row("--basics", "LIST", Grid, "basic prefetchers [default: no basic prefetcher]"),
+    row("--hierarchies", "LIST", Grid, "cache hierarchies or all [default: the paper's]"),
+    row("--workloads", "LIST", Grid, "names, spec2006, spec2017, all or none [default: none]"),
+    row("--leakage", "LIST", Grid, "leakage campaigns: attack kinds, all or none [default: none]"),
+    row("--secrets", "N", Grid, "secrets per leakage campaign [default: 8]"),
+    row("--trials", "N", Grid, "trials per secret [default: 4]"),
+    row("--jitter", "N", Grid, "attacker timer noise, cycles per probe [default: 0]"),
+    row("--permutations", "N", Grid, "label permutations for the MI null test [default: 0]"),
+    row("--bootstrap", "N", Grid, "bootstrap resamples for the MI interval [default: 0]"),
+    row("--alpha", "F", Grid, "bootstrap CI level, in (0,1) [default: 0.05]"),
+    row("--seeds", "N", Grid, "seed repetitions per grid point [default: 1]"),
+    row("--seed", "S", Grid, "campaign seed, hex or decimal [default: 0xC0FFEE]"),
+    row("--shard-size", "N", Grid, "crash-safe campaign: commit shards of at most N scenarios"),
+    row("--threads", "N", Exec, "worker threads, 0 = all CPUs [default: 0]"),
+    row("--quiet", "", Exec, "no per-scenario table, summary only"),
+    row("--out", "DIR", Output, "artifact directory [default: .]"),
+    row("--resume", "DIR", Output, "finish the sharded campaign in DIR, byte-identically"),
+    row("--bench-json", "PATH", Output, "also write a throughput record"),
+    row("--list", "", Stream, "print the enumerated grid and exit without running"),
+    row("--progress", "", Stream, "throttled stderr progress line (rate + ETA)"),
+    row("--obs", "", Stream, "write DIR/obs.json: counters plus a marked timing section"),
+    row("--obs-out", "PATH", Stream, "write the chunk-claim event stream as JSONL"),
+    row("--trace", "", Stream, "arm the flight recorder; write DIR/trace.jsonl"),
+    row("--trace-out", "PATH", Stream, "trace JSONL destination (requires --trace)"),
+];
+
+/// `sweep work DIR`'s flags.
+const WORK: &[Flag] = &[
+    row("--threads", "N", Exec, "worker threads [default: 1]"),
+    row("--lease-ttl-ms", "MS", Exec, "lease staleness horizon [default: 5000]"),
+    row("--sock", "PATH", Output, "supervisor socket for events and the summary"),
+    row("--worker-id", "K", Exec, "slot reported to the supervisor [default: 0]"),
+    row("--quiet", "", Exec, "no per-shard commit lines"),
+];
+
+/// `sweep serve DIR`'s own flags; it also takes `sweep`'s `Grid` flags
+/// when DIR holds no campaign yet.
+const SERVE: &[Flag] = &[
+    row("--workers", "N", Exec, "worker processes to spawn (required)"),
+    row("--worker-threads", "N", Exec, "threads per worker [default: 1]"),
+    row("--restart-budget", "N", Exec, "restarts before degrading [default: 2 x workers]"),
+    row("--lease-ttl-ms", "MS", Exec, "lease staleness horizon [default: 5000]"),
+    row("--stall-timeout-ms", "MS", Exec, "kill workers stalled this long [default: 60000]"),
+    row("--worker-failpoints", "SPEC", Exec, "failpoints armed in the workers only"),
+    row("--quiet", "", Exec, "no per-shard progress lines"),
+];
+
+/// The flags an argv named, each with its last value (empty for a
+/// switch), in the order first named.
+#[derive(Debug, Default)]
+struct Given(Vec<(&'static Flag, String)>);
+
+impl Given {
+    fn flags(&self) -> impl Iterator<Item = &'static Flag> + '_ {
+        self.0.iter().map(|&(f, _)| f)
+    }
+
+    fn value(&self, name: &str) -> Option<&str> {
+        debug_assert!(
+            [SWEEP, WORK, SERVE].iter().any(|t| t.iter().any(|f| f.name == name)),
+            "no flag row named {name}"
+        );
+        self.0.iter().find(|(f, _)| f.name == name).map(|(_, v)| v.as_str())
+    }
+
+    fn has(&self, name: &str) -> bool {
+        self.value(name).is_some()
+    }
+
+    fn path(&self, name: &str) -> Option<PathBuf> {
+        self.value(name).map(PathBuf::from)
+    }
+
+    fn parse<T: FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        self.value(name).map(|v| v.parse().map_err(|_| format!("invalid {name}"))).transpose()
+    }
+}
+
+/// Checks `argv` against `tables` (the first row of a name wins):
+/// unknown flags and missing values are errors, and a repeated flag
+/// keeps its last value.
+fn scan(argv: &[String], tables: &[&'static [Flag]], unknown: &str) -> Result<Given, String> {
+    let mut given = Given::default();
+    let mut it = argv.iter();
+    while let Some(arg) = it.next() {
+        let flag = tables
+            .iter()
+            .flat_map(|t| t.iter())
+            .find(|f| f.name == arg)
+            .ok_or_else(|| format!("unknown {unknown} `{arg}`"))?;
+        let value = if flag.value.is_empty() {
+            String::new()
+        } else {
+            it.next().cloned().ok_or_else(|| format!("{arg} needs a value"))?
+        };
+        match given.0.iter_mut().find(|(f, _)| f.name == flag.name) {
+            Some(slot) => slot.1 = value,
+            None => given.0.push((flag, value)),
+        }
+    }
+    Ok(given)
+}
+
+/// `--help`: the three flag tables, then the values of each grid axis.
+fn help() -> String {
+    let mut out = String::from(
+        "usage: sweep [FLAG]...\n       sweep work DIR [FLAG]...\n       \
+         sweep serve DIR --workers N [FLAG]...\n\n\
+         --resume takes only exec flags, --shard-size refuses stream flags, and\n\
+         serve creates a campaign from sweep's grid flags only.\n",
+    );
+    for (title, table) in [
+        ("sweep", SWEEP),
+        ("sweep work DIR", WORK),
+        ("sweep serve DIR (plus sweep's grid flags when DIR has no campaign)", SERVE),
+    ] {
+        out += &format!("\n{title}:\n");
+        for f in table {
+            let flag = format!("{} {}", f.name, f.value);
+            let class = format!("{:?}", f.class).to_lowercase();
+            out += &format!("  {flag:<25} {class:<7} {}\n", f.help);
+        }
+    }
+    let axes: [(&str, Vec<String>); 5] = [
+        ("--attacks, --leakage", kind_names().into_iter().map(|(n, _)| n).collect()),
+        ("--noise", noise_names().into_iter().map(|(n, _)| n).collect()),
+        ("--defenses", defense_names().into_iter().map(|(n, _)| n).collect()),
+        ("--basics", Basic::ALL.iter().map(|&b| basic_tag(b).to_string()).collect()),
+        ("--hierarchies", Hierarchy::ALL.iter().map(|h| h.tag().to_string()).collect()),
+    ];
+    out += "\naxis values:\n";
+    for (flags, values) in axes {
+        out += &format!("  {flags:<25} {}\n", values.join(","));
+    }
+    out
+}
 
 #[derive(Debug)]
 struct Args {
     grid: SweepGrid,
     threads: usize,
     campaign_seed: u64,
-    out: std::path::PathBuf,
-    bench_json: Option<std::path::PathBuf>,
+    out: PathBuf,
+    bench_json: Option<PathBuf>,
     quiet: bool,
     list: bool,
     progress: bool,
     obs: bool,
-    obs_out: Option<std::path::PathBuf>,
+    obs_out: Option<PathBuf>,
     trace: bool,
-    trace_out: Option<std::path::PathBuf>,
+    trace_out: Option<PathBuf>,
     shard_size: Option<usize>,
-    resume: Option<std::path::PathBuf>,
+    resume: Option<PathBuf>,
 }
 
 fn parse_u64(s: &str) -> Result<u64, String> {
@@ -136,6 +239,40 @@ fn parse_list<'s, T>(
         .collect()
 }
 
+// The command line names each axis value by the grid's own tags: an
+// attack kind by its bare case tag (`fr`), a noise mix by its tag suffix
+// (`fr+c3` → `c3`, the clean mix `none`), a defense configuration by its
+// tag less the buffer count (`full32` → `full`).
+
+fn kind_names() -> Vec<(String, AttackKind)> {
+    let panels = AttackCase::figure8_panels().into_iter();
+    panels.filter(|c| c.noise == NoiseSpec::NONE).map(|c| (c.tag(), c.kind)).collect()
+}
+
+fn noise_names() -> Vec<(String, NoiseSpec)> {
+    let panels = AttackCase::figure8_panels();
+    let name = |c: &AttackCase| c.tag().split_once('+').map_or("none".into(), |(_, n)| n.into());
+    panels.iter().filter(|c| c.kind == panels[0].kind).map(|c| (name(c), c.noise)).collect()
+}
+
+fn defense_names() -> Vec<(String, DefenseConfig)> {
+    let name = |c| DefensePoint::new(c).tag().trim_end_matches(|d: char| d.is_ascii_digit()).into();
+    DefenseConfig::ALL.into_iter().map(|c| (name(c), c)).collect()
+}
+
+fn lookup<T: Copy>(names: &[(String, T)], name: &str) -> Option<T> {
+    names.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
+}
+
+fn parse_kinds(sel: &str) -> Result<Vec<AttackKind>, String> {
+    let names = kind_names();
+    match sel {
+        "none" => Ok(Vec::new()),
+        "all" => Ok(names.iter().map(|&(_, kind)| kind).collect()),
+        list => parse_list(list, "attack", |s| lookup(&names, s)),
+    }
+}
+
 fn workload_names(spec: &str) -> Result<Vec<String>, String> {
     let names = |ws: Vec<prefender_workloads::Workload>| {
         ws.into_iter().map(|w| w.name().to_string()).collect::<Vec<_>>()
@@ -153,245 +290,152 @@ fn workload_names(spec: &str) -> Result<Vec<String>, String> {
 }
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
-    let mut attacks_sel = "all".to_string();
-    let mut noise_sel = "none,c3,c4,c3c4".to_string();
-    let mut cross_sel = "single".to_string();
-    let mut defenses_sel = "all".to_string();
-    let mut buffers_sel = "32".to_string();
-    let mut basics_sel = "none".to_string();
-    let mut hier_sel = "paper".to_string();
-    let mut workloads_sel = "none".to_string();
-    let mut leakage_sel = "none".to_string();
-    let mut seeds = 1u32;
-    let mut args = Args {
-        grid: SweepGrid::empty(),
-        threads: 0,
-        campaign_seed: 0xC0FFEE,
-        out: ".".into(),
-        bench_json: None,
-        quiet: false,
-        list: false,
-        progress: false,
-        obs: false,
-        obs_out: None,
-        trace: false,
-        trace_out: None,
-        shard_size: None,
-        resume: None,
-    };
+    args_from(&scan(argv, &[SWEEP], "option")?)
+}
 
-    // Every option the user named, for conflict checks: a resumed
-    // campaign takes its shape from the manifest, not the command line.
-    let mut seen: Vec<String> = Vec::new();
-    let mut it = argv.iter();
-    while let Some(a) = it.next() {
-        if a.starts_with("--") {
-            seen.push(a.clone());
-        }
-        let mut val = |name: &str| {
-            it.next().map(|s| s.to_string()).ok_or_else(|| format!("{name} needs a value"))
-        };
-        match a.as_str() {
-            "--attacks" => attacks_sel = val("--attacks")?,
-            "--noise" => noise_sel = val("--noise")?,
-            "--cross-core" => cross_sel = val("--cross-core")?,
-            "--defenses" => defenses_sel = val("--defenses")?,
-            "--buffers" => buffers_sel = val("--buffers")?,
-            "--basics" => basics_sel = val("--basics")?,
-            "--hierarchies" => hier_sel = val("--hierarchies")?,
-            "--workloads" => workloads_sel = val("--workloads")?,
-            "--leakage" => leakage_sel = val("--leakage")?,
-            "--secrets" => {
-                args.grid.leakage_secrets =
-                    val("--secrets")?.parse().map_err(|_| "invalid --secrets".to_string())?
-            }
-            "--trials" => {
-                args.grid.leakage_trials =
-                    val("--trials")?.parse().map_err(|_| "invalid --trials".to_string())?
-            }
-            "--jitter" => {
-                args.grid.leakage_jitter =
-                    val("--jitter")?.parse().map_err(|_| "invalid --jitter".to_string())?
-            }
-            "--permutations" => {
-                args.grid.leakage_permutations = val("--permutations")?
-                    .parse()
-                    .map_err(|_| "invalid --permutations".to_string())?
-            }
-            "--bootstrap" => {
-                args.grid.leakage_bootstrap =
-                    val("--bootstrap")?.parse().map_err(|_| "invalid --bootstrap".to_string())?
-            }
-            "--alpha" => {
-                args.grid.leakage_alpha =
-                    val("--alpha")?.parse().map_err(|_| "invalid --alpha".to_string())?
-            }
-            "--seeds" => {
-                seeds = val("--seeds")?.parse().map_err(|_| "invalid --seeds".to_string())?
-            }
-            "--threads" => {
-                args.threads =
-                    val("--threads")?.parse().map_err(|_| "invalid --threads".to_string())?
-            }
-            "--seed" => args.campaign_seed = parse_u64(&val("--seed")?)?,
-            "--out" => args.out = val("--out")?.into(),
-            "--bench-json" => args.bench_json = Some(val("--bench-json")?.into()),
-            "--list" => args.list = true,
-            "--quiet" => args.quiet = true,
-            "--progress" => args.progress = true,
-            "--obs" => args.obs = true,
-            "--obs-out" => args.obs_out = Some(val("--obs-out")?.into()),
-            "--trace" => args.trace = true,
-            "--trace-out" => args.trace_out = Some(val("--trace-out")?.into()),
-            "--shard-size" => {
-                args.shard_size = Some(
-                    val("--shard-size")?.parse().map_err(|_| "invalid --shard-size".to_string())?,
-                )
-            }
-            "--resume" => args.resume = Some(val("--resume")?.into()),
-            "--help" | "-h" => return Err("help".to_string()),
-            other => return Err(format!("unknown option `{other}`")),
-        }
-    }
-
-    if args.resume.is_some() {
-        // The manifest fixes the grid, seed and output location; the only
-        // things a resume may vary are execution knobs that cannot change
-        // the artifacts.
-        const COMPATIBLE: [&str; 3] = ["--resume", "--threads", "--quiet"];
-        if let Some(bad) = seen.iter().find(|f| !COMPATIBLE.contains(&f.as_str())) {
+/// Builds a run from scanned `sweep` flags: the class rules first, then
+/// the grid and its own constraints.
+fn args_from(given: &Given) -> Result<Args, String> {
+    if given.has("--resume") {
+        if let Some(bad) = given.flags().find(|f| f.class != Exec && f.name != "--resume") {
+            let exec: Vec<&str> =
+                SWEEP.iter().filter(|f| f.class == Exec).map(|f| f.name).collect();
             return Err(format!(
-                "{bad} conflicts with --resume: the campaign manifest fixes the grid, \
-                 seed and output directory (only --threads/--quiet may vary)"
+                "{} conflicts with --resume: the campaign manifest fixes the grid, seed and \
+                 output directory (only {} may vary)",
+                bad.name,
+                exec.join("/")
             ));
         }
     }
-    if let Some(size) = args.shard_size {
+    let shard_size = given.parse("--shard-size")?;
+    if let Some(size) = shard_size {
         if size == 0 {
             return Err("--shard-size must be at least 1".to_string());
         }
-        for bad in ["--obs", "--obs-out", "--trace", "--trace-out", "--progress", "--list"] {
-            if seen.iter().any(|f| f == bad) {
-                return Err(format!(
-                    "{bad} is not available with --shard-size (sharded campaigns commit \
-                     shard artifacts, not obs/trace streams)"
-                ));
-            }
+        if let Some(bad) = given.flags().find(|f| f.class == Stream) {
+            return Err(format!(
+                "{} is not available with --shard-size (sharded campaigns commit shard \
+                 artifacts, not obs/trace streams)",
+                bad.name
+            ));
         }
     }
 
-    let parse_kinds = |sel: &str| -> Result<Vec<AttackKind>, String> {
-        match sel {
-            "none" => Ok(Vec::new()),
-            "all" => {
-                Ok(vec![AttackKind::FlushReload, AttackKind::EvictReload, AttackKind::PrimeProbe])
-            }
-            list => parse_list(list, "attack", |s| match s {
-                "fr" => Some(AttackKind::FlushReload),
-                "er" => Some(AttackKind::EvictReload),
-                "pp" => Some(AttackKind::PrimeProbe),
-                _ => None,
-            }),
-        }
-    };
-    let kinds = parse_kinds(&attacks_sel)?;
-    let leak_kinds = parse_kinds(&leakage_sel)?;
-    let noises: Vec<NoiseSpec> = parse_list(&noise_sel, "noise", |s| match s {
-        "none" => Some(NoiseSpec::NONE),
-        "c3" => Some(NoiseSpec::C3),
-        "c4" => Some(NoiseSpec::C4),
-        "c3c4" => Some(NoiseSpec::C3C4),
-        _ => None,
-    })?;
-    let crosses: Vec<bool> = match cross_sel.as_str() {
-        "single" => vec![false],
-        "cross" => vec![true],
-        "both" => vec![false, true],
+    let mut grid = SweepGrid::empty();
+    grid.leakage_secrets = given.parse("--secrets")?.unwrap_or(grid.leakage_secrets);
+    grid.leakage_trials = given.parse("--trials")?.unwrap_or(grid.leakage_trials);
+    grid.leakage_jitter = given.parse("--jitter")?.unwrap_or(grid.leakage_jitter);
+    grid.leakage_permutations = given.parse("--permutations")?.unwrap_or(grid.leakage_permutations);
+    grid.leakage_bootstrap = given.parse("--bootstrap")?.unwrap_or(grid.leakage_bootstrap);
+    grid.leakage_alpha = given.parse("--alpha")?.unwrap_or(grid.leakage_alpha);
+    grid.seeds = given.parse("--seeds")?.unwrap_or(grid.seeds).max(1);
+
+    let crosses: &[bool] = match given.value("--cross-core").unwrap_or("single") {
+        "single" => &[false],
+        "cross" => &[true],
+        "both" => &[false, true],
         other => return Err(format!("unknown --cross-core mode `{other}`")),
     };
-    args.grid.attacks.clear();
-    for &kind in &kinds {
-        for &noise in &noises {
-            for &cross_core in &crosses {
-                args.grid.attacks.push(AttackCase { kind, noise, cross_core });
-            }
-        }
-    }
-    for &kind in &leak_kinds {
-        for &noise in &noises {
-            for &cross_core in &crosses {
-                args.grid.leakages.push(AttackCase { kind, noise, cross_core });
-            }
-        }
-    }
-
-    let configs: Vec<DefenseConfig> = match defenses_sel.as_str() {
-        "all" => DefenseConfig::ALL.to_vec(),
-        list => parse_list(list, "defense", |s| match s {
-            "base" => Some(DefenseConfig::None),
-            "st" => Some(DefenseConfig::St),
-            "at" => Some(DefenseConfig::At),
-            "stat" => Some(DefenseConfig::StAt),
-            "atrp" => Some(DefenseConfig::AtRp),
-            "full" => Some(DefenseConfig::Full),
-            _ => None,
-        })?,
+    let noise_names = noise_names();
+    let noises: Vec<NoiseSpec> = match given.value("--noise") {
+        Some(list) => parse_list(list, "noise", |s| lookup(&noise_names, s))?,
+        None => noise_names.iter().map(|&(_, noise)| noise).collect(),
     };
-    let buffers: Vec<usize> = parse_list(&buffers_sel, "buffer count", |s| s.parse().ok())?;
-    args.grid.defenses = configs
+    let cases = |flag: &str, default: &str| -> Result<Vec<AttackCase>, String> {
+        let mut cases = Vec::new();
+        for kind in parse_kinds(given.value(flag).unwrap_or(default))? {
+            for &noise in &noises {
+                for &cross_core in crosses {
+                    cases.push(AttackCase { kind, noise, cross_core });
+                }
+            }
+        }
+        Ok(cases)
+    };
+    grid.attacks = cases("--attacks", "all")?;
+    grid.leakages = cases("--leakage", "none")?;
+
+    let configs = match given.value("--defenses").unwrap_or("all") {
+        "all" => DefenseConfig::ALL.to_vec(),
+        list => {
+            let names = defense_names();
+            parse_list(list, "defense", |s| lookup(&names, s))?
+        }
+    };
+    let buffers: Vec<usize> =
+        parse_list(given.value("--buffers").unwrap_or("32"), "buffer count", |s| s.parse().ok())?;
+    grid.defenses = configs
         .iter()
         .flat_map(|&config| buffers.iter().map(move |&buffers| DefensePoint { config, buffers }))
         .collect();
+    if let Some(list) = given.value("--basics") {
+        grid.basics = parse_list(list, "basic prefetcher", basic_from_tag)?;
+    }
+    if let Some(sel) = given.value("--hierarchies") {
+        grid.hierarchies = match sel {
+            "all" => Hierarchy::ALL.to_vec(),
+            list => parse_list(list, "hierarchy", Hierarchy::from_tag)?,
+        };
+    }
+    if let Some(sel) = given.value("--workloads") {
+        grid.workloads = workload_names(sel)?;
+    }
 
-    args.grid.basics = parse_list(&basics_sel, "basic prefetcher", |s| match s {
-        "none" => Some(Basic::None),
-        "tagged" => Some(Basic::Tagged),
-        "stride" => Some(Basic::Stride),
-        _ => None,
-    })?;
-    args.grid.hierarchies = match hier_sel.as_str() {
-        "all" => Hierarchy::ALL.to_vec(),
-        list => parse_list(list, "hierarchy", |s| {
-            Hierarchy::ALL.iter().copied().find(|h| h.tag() == s)
-        })?,
-    };
-    args.grid.workloads = workload_names(&workloads_sel)?;
-    args.grid.seeds = seeds.max(1);
-    if !args.grid.leakages.is_empty() {
+    if !grid.leakages.is_empty() {
         // Secrets are placed at distinct indices of the paper probe
         // window; reject impossible campaign shapes up front.
         let window = prefender_attacks::AttackLayout::paper().n_indices as u32;
-        if args.grid.leakage_secrets < 1 || args.grid.leakage_secrets > window {
+        if grid.leakage_secrets < 1 || grid.leakage_secrets > window {
             return Err(format!(
                 "--secrets must be 1..={window} (the probe-window width), got {}",
-                args.grid.leakage_secrets
+                grid.leakage_secrets
             ));
         }
-        if args.grid.leakage_trials < 1 {
+        if grid.leakage_trials < 1 {
             return Err("--trials must be at least 1".to_string());
         }
     }
     // Resampling knobs only make sense when a leakage campaign runs, and
     // alpha must be a usable significance level.
-    args.grid.resample().validate().map_err(|e| format!("--alpha: {e}"))?;
-    if args.grid.resample().is_enabled() && args.grid.leakages.is_empty() {
+    grid.resample().validate().map_err(|e| format!("--alpha: {e}"))?;
+    if grid.resample().is_enabled() && grid.leakages.is_empty() {
         return Err("--permutations/--bootstrap need at least one --leakage campaign".to_string());
     }
-    if args.trace_out.is_some() && !args.trace {
+    if given.has("--trace-out") && !given.has("--trace") {
         return Err("--trace-out requires --trace".to_string());
     }
-    Ok(args)
+    Ok(Args {
+        grid,
+        threads: given.parse("--threads")?.unwrap_or(0),
+        campaign_seed: given.value("--seed").map_or(Ok(0xC0FFEE), parse_u64)?,
+        out: given.path("--out").unwrap_or_else(|| ".".into()),
+        bench_json: given.path("--bench-json"),
+        quiet: given.has("--quiet"),
+        list: given.has("--list"),
+        progress: given.has("--progress"),
+        obs: given.has("--obs"),
+        obs_out: given.path("--obs-out"),
+        trace: given.has("--trace"),
+        trace_out: given.path("--trace-out"),
+        shard_size,
+        resume: given.path("--resume"),
+    })
 }
 
-/// Writes the report's artifact files atomically into `out` and returns
-/// the `wrote ...` line naming them. Every artifact write in this binary
-/// goes through [`write_atomic`] — a crash leaves either the old bytes or
-/// the new bytes, never a torn file.
-fn write_report_artifacts(out: &std::path::Path, report: &SweepReport) -> Result<String, String> {
+/// Writes `body` to `path` through [`write_atomic`]: a crash leaves
+/// either the old bytes or the new bytes, never a torn file.
+fn write(path: &Path, body: impl AsRef<[u8]>) -> Result<(), String> {
+    write_atomic(path, body).map_err(|e| format!("writing {}: {e}", path.display()))
+}
+
+/// Writes the report's artifact files into `out` and returns the
+/// `wrote ...` line naming them.
+fn write_report_artifacts(out: &Path, report: &SweepReport) -> Result<String, String> {
     let mut wrote = Vec::new();
     for (name, body) in report.artifacts() {
         let path = out.join(name);
-        write_atomic(&path, body).map_err(|e| format!("writing {}: {e}", path.display()))?;
+        write(&path, body)?;
         wrote.push(path.display().to_string());
     }
     Ok(format!("wrote {}", wrote.join(", ")))
@@ -400,7 +444,7 @@ fn write_report_artifacts(out: &std::path::Path, report: &SweepReport) -> Result
 /// Validates the output directory *before* running anything: hours of
 /// compute should not be lost to an unwritable `--out` discovered at
 /// artifact time.
-fn ensure_writable_dir(dir: &std::path::Path) -> Result<(), String> {
+fn ensure_writable_dir(dir: &Path) -> Result<(), String> {
     std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
     let probe = dir.join(format!(".sweep-writable.tmp.{}", std::process::id()));
     std::fs::write(&probe, b"probe")
@@ -410,42 +454,39 @@ fn ensure_writable_dir(dir: &std::path::Path) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
+    match run() {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("sweep: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn run() -> Result<(), String> {
     // Fault injection for the crash-resume harness: honor
     // PREFENDER_FAILPOINTS before anything touches the filesystem.
-    if let Err(e) = prefender_obs::arm_failpoints_from_env() {
-        eprintln!("sweep: {}: {e}", prefender_obs::FAILPOINTS_ENV);
-        return ExitCode::FAILURE;
-    }
+    prefender_obs::arm_failpoints_from_env()
+        .map_err(|e| format!("{}: {e}", prefender_obs::FAILPOINTS_ENV))?;
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    match argv.first().map(String::as_str) {
-        Some("work") => return subcmd::run_work(&argv[1..]),
-        Some("serve") => return subcmd::run_serve(&argv[1..]),
-        _ => {}
+    if argv.iter().any(|a| a == "--help" || a == "-h") {
+        print!("{}", help());
+        return Ok(());
     }
-    let mut args = match parse_args(&argv) {
-        Ok(a) => a,
-        Err(e) => {
-            if e != "help" {
-                eprintln!("sweep: {e}");
-            }
-            eprintln!("usage: sweep [--attacks L] [--noise L] [--cross-core M] [--defenses L]");
-            eprintln!("             [--buffers L] [--basics L] [--hierarchies L] [--workloads L]");
-            eprintln!(
-                "             [--leakage L] [--secrets N] [--trials N] [--jitter N] [--seeds N]"
-            );
-            eprintln!("             [--permutations N] [--bootstrap N] [--alpha F]");
-            eprintln!("             [--threads N] [--seed S] [--out DIR] [--bench-json PATH]");
-            eprintln!("             [--shard-size N] [--resume DIR]");
-            eprintln!("             [--list] [--quiet] [--progress] [--obs] [--obs-out PATH]");
-            eprintln!("             [--trace] [--trace-out PATH]");
-            eprintln!("       sweep work DIR [--threads N] [--lease-ttl-ms MS] [--sock PATH]");
-            eprintln!("       sweep serve DIR --workers N [--worker-threads N] [grid flags]");
-            return if e == "help" { ExitCode::SUCCESS } else { ExitCode::FAILURE };
-        }
-    };
+    match argv.first().map(String::as_str) {
+        Some("work") => subcmd::run_work(&argv[1..]),
+        Some("serve") => subcmd::run_serve(&argv[1..]),
+        _ => sweep(parse_args(&argv)?),
+    }
+}
+
+/// Runs the campaign in process, sharded or resumed, and writes its
+/// artifacts and any obs/trace/bench outputs.
+fn sweep(mut args: Args) -> Result<(), String> {
     if args.resume.is_none() && args.grid.is_empty() {
-        eprintln!("sweep: the selected grid is empty (no attacks, workloads or leakage campaigns)");
-        return ExitCode::FAILURE;
+        return Err(
+            "the selected grid is empty (no attacks, workloads or leakage campaigns)".to_string()
+        );
     }
 
     if args.list {
@@ -477,11 +518,11 @@ fn main() -> ExitCode {
             println!(
                 "trace: ~{} events estimated ({sims} sims x ~{EST_EVENTS_PER_SIM}/sim); \
                  ring buffer {cap} events ({} KiB) per worker thread",
-                sims as u64 * EST_EVENTS_PER_SIM,
+                sims * EST_EVENTS_PER_SIM,
                 cap * event_size / 1024,
             );
         }
-        return ExitCode::SUCCESS;
+        return Ok(());
     }
     if args.resume.is_none() {
         let (n, sims) = (args.grid.len(), args.grid.sims());
@@ -496,10 +537,7 @@ fn main() -> ExitCode {
             args.grid.seeds,
         );
         // Fail fast on an unusable --out, before any compute runs.
-        if let Err(e) = ensure_writable_dir(&args.out) {
-            eprintln!("sweep: {e}");
-            return ExitCode::FAILURE;
-        }
+        ensure_writable_dir(&args.out)?;
     }
     let opts = SweepOptions { threads: args.threads, campaign_seed: args.campaign_seed };
     if args.trace {
@@ -510,30 +548,18 @@ fn main() -> ExitCode {
         // The manifest carries the grid and seed; the command line only
         // chose the directory. Rebind args so reporting below sees the
         // campaign's real shape.
-        match resume_sharded(&dir, args.threads) {
-            Ok((report, manifest, stats)) => {
-                eprintln!("sweep: resume: {}", stats.render());
-                args.grid = manifest.grid;
-                args.campaign_seed = manifest.campaign_seed;
-                args.out = dir;
-                (report, None)
-            }
-            Err(e) => {
-                eprintln!("sweep: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        let (report, manifest, stats) =
+            resume_sharded(&dir, args.threads).map_err(|e| e.to_string())?;
+        eprintln!("sweep: resume: {}", stats.render());
+        args.grid = manifest.grid;
+        args.campaign_seed = manifest.campaign_seed;
+        args.out = dir;
+        (report, None)
     } else if let Some(size) = args.shard_size {
-        match run_sharded(&args.out, &args.grid, &opts, size) {
-            Ok((report, stats)) => {
-                eprintln!("sweep: shards: {}", stats.render());
-                (report, None)
-            }
-            Err(e) => {
-                eprintln!("sweep: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        let (report, stats) =
+            run_sharded(&args.out, &args.grid, &opts, size).map_err(|e| e.to_string())?;
+        eprintln!("sweep: shards: {}", stats.render());
+        (report, None)
     } else {
         // `run_sweep` is `run_sweep_observed` minus the extras, so running
         // observed unconditionally cannot change the artifacts — the obs
@@ -562,14 +588,7 @@ fn main() -> ExitCode {
     let elapsed = start.elapsed();
     let per_sec = n as f64 / elapsed.as_secs_f64().max(1e-9);
 
-    let wrote = match write_report_artifacts(&args.out, &report) {
-        Ok(wrote) => wrote,
-        Err(e) => {
-            eprintln!("sweep: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
+    let wrote = write_report_artifacts(&args.out, &report)?;
     if !args.quiet {
         println!("{}", report.render_table());
     }
@@ -587,29 +606,18 @@ fn main() -> ExitCode {
     // The obs/trace flags conflict with --shard-size/--resume at parse
     // time, so `obs` is always present on these paths.
     if args.obs {
-        let obs = obs.as_ref().expect("--obs runs the in-memory path");
         let path = args.out.join("obs.json");
-        if let Err(e) = write_atomic(&path, obs.to_json() + "\n") {
-            eprintln!("sweep: writing {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
+        write(&path, obs.as_ref().expect("--obs runs the in-memory path").to_json() + "\n")?;
         println!("wrote {}", path.display());
     }
     if let Some(path) = &args.obs_out {
-        let obs = obs.as_ref().expect("--obs-out runs the in-memory path");
-        if let Err(e) = write_atomic(path, obs.events_jsonl()) {
-            eprintln!("sweep: writing {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
+        write(path, obs.as_ref().expect("--obs-out runs the in-memory path").events_jsonl())?;
         println!("wrote {}", path.display());
     }
     if args.trace {
         let obs = obs.as_ref().expect("--trace runs the in-memory path");
         let path = args.trace_out.clone().unwrap_or_else(|| args.out.join("trace.jsonl"));
-        if let Err(e) = write_atomic(&path, obs.trace_jsonl()) {
-            eprintln!("sweep: writing {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
+        write(&path, obs.trace_jsonl())?;
         println!(
             "wrote {} ({} events, {} dropped)",
             path.display(),
@@ -618,24 +626,22 @@ fn main() -> ExitCode {
         );
     }
 
-    if let Some(path) = args.bench_json {
-        let record = format!(
-            "{{\"bench\": \"sweep\", \"scenarios\": {n}, \"sims\": {sims}, \"threads\": {}, \
-             \"elapsed_secs\": {:.6}, \"scenarios_per_sec\": {:.3}, \"sims_per_sec\": {:.3}, \
-             \"host\": {}}}\n",
-            args.threads,
-            elapsed.as_secs_f64(),
-            per_sec,
-            sims as f64 / elapsed.as_secs_f64().max(1e-9),
-            HostInfo::capture().json_inline(),
-        );
-        if let Err(e) = write_atomic(&path, record) {
-            eprintln!("sweep: writing {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
+    if let Some(path) = &args.bench_json {
+        let secs = elapsed.as_secs_f64();
+        let record = Value::Obj(vec![
+            ("bench".into(), Value::Str("sweep".into())),
+            ("scenarios".into(), Value::U64(n as u64)),
+            ("sims".into(), Value::U64(sims)),
+            ("threads".into(), Value::U64(args.threads as u64)),
+            ("elapsed_secs".into(), Value::F64(secs)),
+            ("scenarios_per_sec".into(), Value::F64(per_sec)),
+            ("sims_per_sec".into(), Value::F64(sims as f64 / secs.max(1e-9))),
+            ("host".into(), HostInfo::capture().to_value()),
+        ]);
+        write(path, record.to_json_inline() + "\n")?;
         println!("wrote {}", path.display());
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// The `work`/`serve` subcommands — the multi-process campaign modes.
@@ -645,7 +651,6 @@ mod subcmd {
     use std::io::Write as _;
     use std::os::unix::net::UnixStream;
     use std::path::PathBuf;
-    use std::process::ExitCode;
     use std::time::Duration;
 
     use prefender_sweep::{
@@ -654,13 +659,18 @@ mod subcmd {
         MANIFEST_NAME,
     };
 
-    use super::{ensure_writable_dir, parse_args, write_report_artifacts};
+    use super::{
+        args_from, ensure_writable_dir, scan, write_report_artifacts, Class, Given, SERVE, SWEEP,
+        WORK,
+    };
 
-    const WORK_USAGE: &str = "usage: sweep work DIR [--threads N] [--lease-ttl-ms MS] \
-                              [--sock PATH] [--worker-id K] [--quiet]";
-    const SERVE_USAGE: &str = "usage: sweep serve DIR --workers N [--worker-threads N] \
-                               [--restart-budget N] [--lease-ttl-ms MS] [--stall-timeout-ms MS] \
-                               [--worker-failpoints SPEC] [--quiet] [grid flags when creating]";
+    /// Splits off the campaign DIR that `work` and `serve` take first.
+    fn split_dir<'a>(argv: &'a [String], sub: &str) -> Result<(PathBuf, &'a [String]), String> {
+        match argv.split_first() {
+            Some((dir, rest)) if !dir.starts_with("--") => Ok((dir.into(), rest)),
+            _ => Err(format!("{sub} needs a campaign DIR as its first argument")),
+        }
+    }
 
     pub(super) struct WorkArgs {
         pub(super) dir: PathBuf,
@@ -672,54 +682,30 @@ mod subcmd {
     }
 
     pub(super) fn parse_work(argv: &[String]) -> Result<WorkArgs, String> {
-        let mut it = argv.iter();
-        let dir: PathBuf = match it.next() {
-            Some(d) if !d.starts_with("--") => d.into(),
-            _ => return Err("work needs a campaign DIR as its first argument".into()),
-        };
-        let mut args = WorkArgs {
+        let (dir, rest) = split_dir(argv, "work")?;
+        let given = scan(rest, &[WORK], "work option")?;
+        Ok(WorkArgs {
             dir,
-            threads: 1,
-            ttl_ms: LeaseConfig::default().ttl_ms,
-            sock: None,
-            worker_id: 0,
-            quiet: false,
-        };
-        while let Some(a) = it.next() {
-            let mut val =
-                |name: &str| it.next().cloned().ok_or_else(|| format!("{name} needs a value"));
-            match a.as_str() {
-                "--threads" => {
-                    args.threads =
-                        val("--threads")?.parse().map_err(|_| "invalid --threads".to_string())?
-                }
-                "--lease-ttl-ms" => {
-                    args.ttl_ms = val("--lease-ttl-ms")?
-                        .parse()
-                        .map_err(|_| "invalid --lease-ttl-ms".to_string())?
-                }
-                "--sock" => args.sock = Some(val("--sock")?.into()),
-                "--worker-id" => {
-                    args.worker_id = val("--worker-id")?
-                        .parse()
-                        .map_err(|_| "invalid --worker-id".to_string())?
-                }
-                "--quiet" => args.quiet = true,
-                other => return Err(format!("unknown work option `{other}`")),
-            }
-        }
-        Ok(args)
+            threads: given.parse("--threads")?.unwrap_or(1),
+            ttl_ms: given.parse("--lease-ttl-ms")?.unwrap_or(LeaseConfig::default().ttl_ms),
+            sock: given.path("--sock"),
+            worker_id: given.parse("--worker-id")?.unwrap_or(0),
+            quiet: given.has("--quiet"),
+        })
     }
 
-    pub(super) fn run_work(argv: &[String]) -> ExitCode {
-        let wargs = match parse_work(argv) {
-            Ok(a) => a,
-            Err(e) => {
-                eprintln!("sweep: {e}");
-                eprintln!("{WORK_USAGE}");
-                return ExitCode::FAILURE;
-            }
-        };
+    /// Sends one telemetry line to the supervisor. A failed write drops
+    /// the socket, and the worker prints its own lines from then on.
+    fn send(sock: &mut Option<UnixStream>, line: &str) -> bool {
+        let sent = sock.as_mut().is_some_and(|s| writeln!(s, "{line}").is_ok());
+        if !sent {
+            *sock = None;
+        }
+        sent
+    }
+
+    pub(super) fn run_work(argv: &[String]) -> Result<(), String> {
+        let wargs = parse_work(argv)?;
         // Telemetry is best-effort: a worker without (or outliving) its
         // supervisor still finishes the campaign.
         let mut sock = wargs.sock.as_ref().and_then(|p| match UnixStream::connect(p) {
@@ -732,20 +718,19 @@ mod subcmd {
                 None
             }
         });
-        if let Some(s) = &mut sock {
-            let _ = writeln!(s, "{}", hello_line(wargs.worker_id, std::process::id()));
-        }
+        send(&mut sock, &hello_line(wargs.worker_id, std::process::id()));
         let opts =
             WorkOptions { threads: wargs.threads, lease: LeaseConfig::with_ttl_ms(wargs.ttl_ms) };
         let quiet = wargs.quiet;
+        // A supervised worker's events are printed by its supervisor.
         let mut on_event = |e: &WorkEvent| {
-            if let Some(s) = &mut sock {
-                let _ = writeln!(s, "{}", event_line(e));
+            if send(&mut sock, &event_line(e)) {
+                return;
             }
             match e {
                 WorkEvent::Broke { shard, holder_pid, age_ms } => eprintln!(
                     "sweep: work: broke stale lease on shard {shard} \
-                     (holder pid {holder_pid}, heartbeat {age_ms}ms old)"
+                 (holder pid {holder_pid}, heartbeat {age_ms}ms old)"
                 ),
                 WorkEvent::Quarantined { shard, why } => {
                     eprintln!("sweep: work: quarantined invalid shard {shard}: {why}")
@@ -756,263 +741,146 @@ mod subcmd {
                 _ => {}
             }
         };
-        match work_campaign(&wargs.dir, &opts, &mut on_event) {
-            Ok((report, _, summary)) => {
-                if let Some(s) = &mut sock {
-                    let _ = writeln!(s, "{}", done_line(&summary));
-                }
-                eprintln!("sweep: work: {}", summary.render());
-                // Every worker reaching this point holds the complete
-                // converged report; concurrent writers commit identical
-                // bytes through the atomic-rename path.
-                match write_report_artifacts(&wargs.dir, &report) {
-                    Ok(wrote) => {
-                        if !quiet {
-                            println!("{wrote}");
-                        }
-                        ExitCode::SUCCESS
-                    }
-                    Err(e) => {
-                        eprintln!("sweep: {e}");
-                        ExitCode::FAILURE
-                    }
-                }
-            }
-            Err(e) => {
-                eprintln!("sweep: work: {e}");
-                ExitCode::FAILURE
-            }
+        let (report, _, summary) =
+            work_campaign(&wargs.dir, &opts, &mut on_event).map_err(|e| format!("work: {e}"))?;
+        if !send(&mut sock, &done_line(&summary)) {
+            eprintln!("sweep: work: {}", summary.render());
         }
+        // Every worker reaching this point holds the complete converged
+        // report; concurrent writers commit identical bytes through the
+        // atomic-rename path.
+        let wrote = write_report_artifacts(&wargs.dir, &report)?;
+        if !quiet {
+            println!("{wrote}");
+        }
+        Ok(())
     }
 
     #[derive(Debug)]
     pub(super) struct ServeArgs {
         pub(super) dir: PathBuf,
-        pub(super) workers: usize,
-        pub(super) worker_threads: usize,
-        pub(super) restart_budget: Option<usize>,
-        pub(super) ttl_ms: u64,
-        pub(super) stall_ms: u64,
-        pub(super) worker_failpoints: Option<String>,
-        pub(super) quiet: bool,
-        /// Unrecognized flags, forwarded (with their values, in order)
-        /// to the grid parser when the campaign is being created.
-        pub(super) rest: Vec<String>,
+        pub(super) opts: ServeOptions,
+        /// The `sweep` grid flags that create the campaign when DIR has
+        /// none yet.
+        pub(super) grid: Given,
     }
 
     pub(super) fn parse_serve(argv: &[String]) -> Result<ServeArgs, String> {
-        let mut it = argv.iter();
-        let dir: PathBuf = match it.next() {
-            Some(d) if !d.starts_with("--") => d.into(),
-            _ => return Err("serve needs a campaign DIR as its first argument".into()),
-        };
-        let mut args = ServeArgs {
-            dir,
-            workers: 0,
-            worker_threads: 1,
-            restart_budget: None,
-            ttl_ms: LeaseConfig::default().ttl_ms,
-            stall_ms: 60_000,
-            worker_failpoints: None,
-            quiet: false,
-            rest: Vec::new(),
-        };
-        while let Some(a) = it.next() {
-            let mut val =
-                |name: &str| it.next().cloned().ok_or_else(|| format!("{name} needs a value"));
-            match a.as_str() {
-                "--workers" => {
-                    args.workers =
-                        val("--workers")?.parse().map_err(|_| "invalid --workers".to_string())?
-                }
-                "--worker-threads" => {
-                    args.worker_threads = val("--worker-threads")?
-                        .parse()
-                        .map_err(|_| "invalid --worker-threads".to_string())?
-                }
-                "--restart-budget" => {
-                    args.restart_budget = Some(
-                        val("--restart-budget")?
-                            .parse()
-                            .map_err(|_| "invalid --restart-budget".to_string())?,
-                    )
-                }
-                "--lease-ttl-ms" => {
-                    args.ttl_ms = val("--lease-ttl-ms")?
-                        .parse()
-                        .map_err(|_| "invalid --lease-ttl-ms".to_string())?
-                }
-                "--stall-timeout-ms" => {
-                    args.stall_ms = val("--stall-timeout-ms")?
-                        .parse()
-                        .map_err(|_| "invalid --stall-timeout-ms".to_string())?
-                }
-                "--worker-failpoints" => args.worker_failpoints = Some(val("--worker-failpoints")?),
-                "--quiet" => args.quiet = true,
-                other => args.rest.push(other.to_string()),
-            }
+        let (dir, rest) = split_dir(argv, "serve")?;
+        let given = scan(rest, &[SERVE, SWEEP], "option")?;
+        let grid = Given(given.0.iter().filter(|(f, _)| !SERVE.contains(f)).cloned().collect());
+        if let Some(bad) = grid.flags().find(|f| f.class != Class::Grid) {
+            return Err(format!(
+                "serve: only grid/--seed/--shard-size flags apply when creating a campaign \
+                 ({} does not)",
+                bad.name
+            ));
         }
-        if args.workers == 0 {
+        let workers = given.parse("--workers")?.unwrap_or(0);
+        if workers == 0 {
             return Err("serve needs --workers N (at least 1)".into());
         }
-        Ok(args)
+        let exe = std::env::current_exe()
+            .map_err(|e| format!("cannot locate own binary to spawn workers: {e}"))?;
+        let mut opts = ServeOptions::new(exe, workers);
+        opts.worker_threads = given.parse("--worker-threads")?.unwrap_or(opts.worker_threads);
+        opts.restart_budget = given.parse("--restart-budget")?.unwrap_or(opts.restart_budget);
+        opts.lease =
+            LeaseConfig::with_ttl_ms(given.parse("--lease-ttl-ms")?.unwrap_or(opts.lease.ttl_ms));
+        if let Some(ms) = given.parse("--stall-timeout-ms")? {
+            opts.stall_timeout = Duration::from_millis(ms);
+        }
+        opts.worker_failpoints = given.value("--worker-failpoints").map(String::from);
+        opts.quiet = given.has("--quiet");
+        Ok(ServeArgs { dir, opts, grid })
     }
 
-    pub(super) fn run_serve(argv: &[String]) -> ExitCode {
-        let sargs = match parse_serve(argv) {
-            Ok(a) => a,
-            Err(e) => {
-                eprintln!("sweep: {e}");
-                eprintln!("{SERVE_USAGE}");
-                return ExitCode::FAILURE;
-            }
-        };
+    pub(super) fn run_serve(argv: &[String]) -> Result<(), String> {
+        let sargs = parse_serve(argv)?;
         if sargs.dir.join(MANIFEST_NAME).exists() {
-            if !sargs.rest.is_empty() {
-                eprintln!(
-                    "sweep: serve: {} already holds a campaign; `{}` conflicts — \
-                     the manifest fixes the grid, seed and shard size",
+            if !sargs.grid.0.is_empty() {
+                let flags: Vec<String> =
+                    sargs.grid.0.iter().map(|(f, v)| format!("{} {v}", f.name)).collect();
+                return Err(format!(
+                    "serve: {} already holds a campaign; `{}` conflicts — the manifest fixes \
+                     the grid, seed and shard size",
                     sargs.dir.display(),
-                    sargs.rest.join(" ")
-                );
-                return ExitCode::FAILURE;
+                    flags.join(" ")
+                ));
             }
-            if let Err(e) = load_manifest(&sargs.dir) {
-                eprintln!("sweep: {e}");
-                return ExitCode::FAILURE;
-            }
+            load_manifest(&sargs.dir).map_err(|e| e.to_string())?;
         } else {
-            let gargs = match parse_args(&sargs.rest) {
-                Ok(g) => g,
-                Err(e) => {
-                    eprintln!("sweep: serve: {e}");
-                    eprintln!("{SERVE_USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            if gargs.resume.is_some()
-                || gargs.list
-                || gargs.obs
-                || gargs.trace
-                || gargs.progress
-                || gargs.obs_out.is_some()
-                || gargs.trace_out.is_some()
-                || gargs.bench_json.is_some()
-            {
-                eprintln!(
-                    "sweep: serve: only grid/--seed/--shard-size flags apply when \
-                     creating a campaign"
-                );
-                return ExitCode::FAILURE;
-            }
+            let gargs = args_from(&sargs.grid).map_err(|e| format!("serve: {e}"))?;
             if gargs.grid.is_empty() {
-                eprintln!("sweep: the selected grid is empty");
-                return ExitCode::FAILURE;
+                return Err("the selected grid is empty".to_string());
             }
-            if let Err(e) = ensure_writable_dir(&sargs.dir) {
-                eprintln!("sweep: {e}");
-                return ExitCode::FAILURE;
-            }
+            ensure_writable_dir(&sargs.dir)?;
             let n = gargs.grid.len();
             // Default to ~8 shards per worker: fine-grained enough to
             // balance, coarse enough to amortize commit overhead.
             let shard_size =
-                gargs.shard_size.unwrap_or_else(|| n.div_ceil(sargs.workers * 8)).max(1);
+                gargs.shard_size.unwrap_or_else(|| n.div_ceil(sargs.opts.workers * 8)).max(1);
             let opts = SweepOptions { threads: 0, campaign_seed: gargs.campaign_seed };
-            match init_campaign(&sargs.dir, &gargs.grid, &opts, shard_size) {
-                Ok(m) => eprintln!(
-                    "sweep: serve: initialized campaign ({n} scenarios, {} shards of <= \
-                     {shard_size})",
-                    m.plan().n_shards()
-                ),
-                Err(e) => {
-                    eprintln!("sweep: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
+            let manifest = init_campaign(&sargs.dir, &gargs.grid, &opts, shard_size)
+                .map_err(|e| e.to_string())?;
+            eprintln!(
+                "sweep: serve: initialized campaign ({n} scenarios, {} shards of <= {shard_size})",
+                manifest.plan().n_shards()
+            );
         }
-        let exe = match std::env::current_exe() {
-            Ok(exe) => exe,
-            Err(e) => {
-                eprintln!("sweep: cannot locate own binary to spawn workers: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let mut opts = ServeOptions::new(exe, sargs.workers);
-        opts.worker_threads = sargs.worker_threads;
-        if let Some(budget) = sargs.restart_budget {
-            opts.restart_budget = budget;
+        let (report, _, summary) =
+            serve_campaign(&sargs.dir, &sargs.opts).map_err(|e| format!("serve: {e}"))?;
+        for w in &summary.per_worker {
+            eprintln!(
+                "sweep: serve: worker {}: {} shards (pids {})",
+                w.worker,
+                w.committed,
+                w.pids.iter().map(|p| p.to_string()).collect::<Vec<_>>().join(",")
+            );
         }
-        opts.lease = LeaseConfig::with_ttl_ms(sargs.ttl_ms);
-        opts.stall_timeout = Duration::from_millis(sargs.stall_ms);
-        opts.worker_failpoints = sargs.worker_failpoints.clone();
-        opts.quiet = sargs.quiet;
-        match serve_campaign(&sargs.dir, &opts) {
-            Ok((report, _, summary)) => {
-                for w in &summary.per_worker {
-                    eprintln!(
-                        "sweep: serve: worker {}: {} shards (pids {})",
-                        w.worker,
-                        w.committed,
-                        w.pids.iter().map(|p| p.to_string()).collect::<Vec<_>>().join(",")
-                    );
-                }
-                eprintln!("sweep: serve: {}", summary.render());
-                match write_report_artifacts(&sargs.dir, &report) {
-                    Ok(wrote) => {
-                        println!("{wrote}");
-                        ExitCode::SUCCESS
-                    }
-                    Err(e) => {
-                        eprintln!("sweep: {e}");
-                        ExitCode::FAILURE
-                    }
-                }
-            }
-            Err(e) => {
-                eprintln!("sweep: serve: {e}");
-                ExitCode::FAILURE
-            }
-        }
+        eprintln!("sweep: serve: {}", summary.render());
+        println!("{}", write_report_artifacts(&sargs.dir, &report)?);
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::parse_args;
+    use super::{parse_args, Class, Flag, SWEEP};
 
     fn parse(line: &str) -> Result<super::Args, String> {
         parse_args(&line.split_whitespace().map(String::from).collect::<Vec<_>>())
     }
 
+    /// `flag` as it appears on a command line, with a placeholder value
+    /// when it takes one.
+    fn written(flag: &Flag) -> String {
+        if flag.value.is_empty() {
+            flag.name.to_string()
+        } else {
+            format!("{} 1", flag.name)
+        }
+    }
+
     #[test]
     fn resume_conflicts_with_every_grid_shaping_flag() {
-        for flags in [
-            "--resume d --attacks fr",
-            "--resume d --noise c3",
-            "--resume d --defenses full",
-            "--resume d --workloads all",
-            "--resume d --leakage pp",
-            "--resume d --secrets 4",
-            "--resume d --trials 2",
-            "--resume d --seeds 3",
-            "--resume d --seed 7",
-            "--resume d --alpha 0.1",
-            "--resume d --out elsewhere",
-            "--resume d --list",
-            "--resume d --shard-size 4",
-            "--resume d --obs",
-            "--resume d --trace",
-            "--resume d --progress",
-            "--resume d --bench-json b.json",
-        ] {
-            let err = parse(flags).expect_err(flags);
-            assert!(err.contains("conflicts with --resume"), "`{flags}` -> {err}");
+        let conflicting = SWEEP.iter().filter(|f| f.class != Class::Exec && f.name != "--resume");
+        assert_eq!(conflicting.clone().count(), 26);
+        for flag in conflicting {
+            let line = format!("--resume d {}", written(flag));
+            let err = parse(&line).expect_err(&line);
+            assert!(err.contains("conflicts with --resume"), "`{line}` -> {err}");
         }
     }
 
     #[test]
     fn resume_allows_execution_knobs_only() {
+        // A misfiled row would widen what a resume may vary.
+        let exec: Vec<&str> =
+            SWEEP.iter().filter(|f| f.class == Class::Exec).map(|f| f.name).collect();
+        assert_eq!(exec, ["--threads", "--quiet"]);
+        let err = parse("--resume d --seed 7").unwrap_err();
+        assert!(err.contains("(only --threads/--quiet may vary)"), "{err}");
         let args = parse("--resume some/dir --threads 8 --quiet").expect("compatible flags");
         assert_eq!(args.resume.as_deref(), Some(std::path::Path::new("some/dir")));
         assert_eq!(args.threads, 8);
@@ -1030,30 +898,47 @@ mod tests {
 
     #[test]
     fn shard_size_conflicts_with_obs_and_trace_streams() {
-        for flags in [
-            "--shard-size 4 --obs",
-            "--shard-size 4 --obs-out o.jsonl",
-            "--shard-size 4 --trace",
-            "--shard-size 4 --trace-out t.jsonl",
-            "--shard-size 4 --progress",
-            "--shard-size 4 --list",
-        ] {
-            let err = parse(flags).expect_err(flags);
-            assert!(err.contains("not available with --shard-size"), "`{flags}` -> {err}");
+        let streams = SWEEP.iter().filter(|f| f.class == Class::Stream);
+        assert_eq!(streams.clone().count(), 6);
+        for flag in streams {
+            let line = format!("--shard-size 4 {}", written(flag));
+            let err = parse(&line).expect_err(&line);
+            assert!(err.contains("not available with --shard-size"), "`{line}` -> {err}");
         }
     }
 
     #[test]
     fn flags_that_need_values_say_so() {
-        for flag in ["--resume", "--shard-size"] {
-            let err = parse(flag).unwrap_err();
-            assert!(err.contains("needs a value"), "`{flag}` -> {err}");
+        let valued: Vec<&Flag> = SWEEP.iter().filter(|f| !f.value.is_empty()).collect();
+        assert_eq!(valued.len(), 24);
+        for flag in valued {
+            let err = parse(flag.name).unwrap_err();
+            assert!(err.contains("needs a value"), "`{}` -> {err}", flag.name);
+        }
+    }
+
+    #[test]
+    fn repeated_flags_keep_the_last_value_and_unknown_ones_fail() {
+        let args = parse("--threads 2 --seed 7 --threads 3").expect("valid");
+        assert_eq!((args.threads, args.campaign_seed), (3, 7));
+        let err = parse("--bogus").unwrap_err();
+        assert!(err.contains("unknown option `--bogus`"), "{err}");
+    }
+
+    #[test]
+    fn help_lists_every_row() {
+        let help = super::help();
+        for flag in SWEEP.iter().chain(super::WORK).chain(super::SERVE) {
+            assert!(help.contains(&format!("{} {}", flag.name, flag.value)), "{}", flag.name);
+            assert!(help.contains(flag.help), "{}", flag.name);
         }
     }
 
     #[cfg(unix)]
     mod subcmd {
+        use super::written;
         use crate::subcmd::{parse_serve, parse_work};
+        use crate::{Class, Flag, SERVE, SWEEP, WORK};
 
         fn argv(line: &str) -> Vec<String> {
             line.split_whitespace().map(String::from).collect()
@@ -1084,15 +969,55 @@ mod tests {
             ))
             .expect("valid serve line");
             assert_eq!(args.dir, std::path::Path::new("camp"));
-            assert_eq!(args.workers, 4);
-            assert_eq!(args.restart_budget, Some(9));
-            assert_eq!(args.stall_ms, 500);
-            // Unrecognized flags pass through with their values, in
-            // order, for the grid parser.
-            assert_eq!(args.rest, argv("--leakage fr --seed 0x2A --shard-size 6"));
+            assert_eq!(args.opts.workers, 4);
+            assert_eq!(args.opts.restart_budget, 9);
+            assert_eq!(args.opts.stall_timeout, std::time::Duration::from_millis(500));
+            // The grid flags are kept with their values, in order, to
+            // create the campaign.
+            let grid: Vec<(&str, &str)> =
+                args.grid.0.iter().map(|(f, v)| (f.name, v.as_str())).collect();
+            assert_eq!(grid, [("--leakage", "fr"), ("--seed", "0x2A"), ("--shard-size", "6")]);
             let err = parse_serve(&argv("camp --leakage fr")).unwrap_err();
             assert!(err.contains("--workers"), "{err}");
             assert!(parse_serve(&argv("--workers 2")).is_err(), "DIR must come first");
+        }
+
+        #[test]
+        fn serve_refuses_the_flags_it_would_ignore() {
+            for flags in ["--out elsewhere", "--threads 8", "--bench-json b.json"] {
+                let line = format!("camp --workers 1 {flags} --attacks fr");
+                let err = parse_serve(&argv(&line)).expect_err(&line);
+                assert!(err.contains("only grid/--seed/--shard-size flags apply"), "{err}");
+            }
+        }
+
+        #[test]
+        fn serve_creates_campaigns_from_grid_flags_only() {
+            // `--quiet` is serve's own flag, so sweep's row never applies.
+            let refused: Vec<_> = SWEEP
+                .iter()
+                .filter(|f| f.class != Class::Grid && !SERVE.iter().any(|s| s.name == f.name))
+                .collect();
+            assert_eq!(refused.len(), 10);
+            for flag in refused {
+                let line = format!("camp --workers 1 {}", written(flag));
+                let err = parse_serve(&argv(&line)).expect_err(&line);
+                assert!(err.contains("only grid/--seed/--shard-size flags apply"), "{err}");
+            }
+        }
+
+        #[test]
+        fn subcommand_flags_that_need_values_say_so() {
+            let line = |flag: &Flag| argv(&format!("camp {}", flag.name));
+            let valued = |table: &'static [Flag]| table.iter().filter(|f| !f.value.is_empty());
+            for flag in valued(WORK) {
+                let err = parse_work(&line(flag)).err().unwrap_or_default();
+                assert!(err.contains("needs a value"), "work {} -> {err}", flag.name);
+            }
+            for flag in valued(SERVE) {
+                let err = parse_serve(&line(flag)).err().unwrap_or_default();
+                assert!(err.contains("needs a value"), "serve {} -> {err}", flag.name);
+            }
         }
     }
 }

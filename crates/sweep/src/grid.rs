@@ -19,21 +19,51 @@ pub struct AttackCase {
     pub cross_core: bool,
 }
 
+/// Attack kinds by scenario-id tag, in the paper's order.
+const KINDS: [(AttackKind, &str); 3] = [
+    (AttackKind::FlushReload, "fr"),
+    (AttackKind::EvictReload, "er"),
+    (AttackKind::PrimeProbe, "pp"),
+];
+
+/// Challenge-noise mixes by the tag suffix after `+`, in Figure 8's
+/// order; the clean mix has no suffix.
+const NOISES: [(NoiseSpec, &str); 4] = [
+    (NoiseSpec::NONE, ""),
+    (NoiseSpec::C3, "c3"),
+    (NoiseSpec::C4, "c4"),
+    (NoiseSpec::C3C4, "c3c4"),
+];
+
+/// Defense configurations by scenario-id tag and by manifest name (the
+/// two differ only for the baseline), in the legend order.
+const DEFENSES: [(DefenseConfig, &str, &str); 6] = [
+    (DefenseConfig::None, "base", "none"),
+    (DefenseConfig::St, "st", "st"),
+    (DefenseConfig::At, "at", "at"),
+    (DefenseConfig::StAt, "stat", "stat"),
+    (DefenseConfig::AtRp, "atrp", "atrp"),
+    (DefenseConfig::Full, "full", "full"),
+];
+
+fn tag_of<T: PartialEq>(table: &[(T, &'static str)], value: &T) -> &'static str {
+    table.iter().find(|(v, _)| v == value).map(|&(_, tag)| tag).expect("every axis value has a tag")
+}
+
+fn value_of<T: Copy>(table: &[(T, &str)], tag: &str) -> Option<T> {
+    table.iter().find(|&&(_, t)| t == tag).map(|&(v, _)| v)
+}
+
 impl AttackCase {
     /// Stable short tag used in scenario ids (e.g. `fr+c3x`).
     pub fn tag(&self) -> String {
-        let kind = match self.kind {
-            AttackKind::FlushReload => "fr",
-            AttackKind::EvictReload => "er",
-            AttackKind::PrimeProbe => "pp",
-        };
-        let noise = match (self.noise.c3, self.noise.c4) {
-            (false, false) => "",
-            (true, false) => "+c3",
-            (false, true) => "+c4",
-            (true, true) => "+c3c4",
-        };
-        format!("{kind}{noise}{}", if self.cross_core { "x" } else { "" })
+        let noise = tag_of(&NOISES, &self.noise);
+        format!(
+            "{}{}{noise}{}",
+            tag_of(&KINDS, &self.kind),
+            if noise.is_empty() { "" } else { "+" },
+            if self.cross_core { "x" } else { "" }
+        )
     }
 
     /// Parses a tag produced by [`AttackCase::tag`] (`fr`, `er+c3`,
@@ -45,33 +75,24 @@ impl AttackCase {
             None => (tag, false),
         };
         let (kind, noise) = match body.split_once('+') {
-            Some((kind, noise)) => (kind, Some(noise)),
-            None => (body, None),
+            // A `+` always names a mix: the clean one has no suffix.
+            Some((_, "")) => return None,
+            Some((kind, noise)) => (kind, noise),
+            None => (body, ""),
         };
-        let kind = match kind {
-            "fr" => AttackKind::FlushReload,
-            "er" => AttackKind::EvictReload,
-            "pp" => AttackKind::PrimeProbe,
-            _ => return None,
-        };
-        let noise = match noise {
-            None => NoiseSpec::NONE,
-            Some("c3") => NoiseSpec::C3,
-            Some("c4") => NoiseSpec::C4,
-            Some("c3c4") => NoiseSpec::C3C4,
-            Some(_) => return None,
-        };
-        Some(AttackCase { kind, noise, cross_core })
+        Some(AttackCase {
+            kind: value_of(&KINDS, kind)?,
+            noise: value_of(&NOISES, noise)?,
+            cross_core,
+        })
     }
 
     /// The paper's twelve Figure 8 panels (single-core).
     pub fn figure8_panels() -> Vec<AttackCase> {
-        let kinds = [AttackKind::FlushReload, AttackKind::EvictReload, AttackKind::PrimeProbe];
-        let noises = [NoiseSpec::NONE, NoiseSpec::C3, NoiseSpec::C4, NoiseSpec::C3C4];
-        noises
+        NOISES
             .iter()
-            .flat_map(|&noise| {
-                kinds.iter().map(move |&kind| AttackCase { kind, noise, cross_core: false })
+            .flat_map(|&(noise, _)| {
+                KINDS.iter().map(move |&(kind, _)| AttackCase { kind, noise, cross_core: false })
             })
             .collect()
     }
@@ -80,8 +101,8 @@ impl AttackCase {
     /// variants of each attack (paper Figure 4).
     pub fn all() -> Vec<AttackCase> {
         let mut v = Self::figure8_panels();
-        for kind in [AttackKind::FlushReload, AttackKind::EvictReload, AttackKind::PrimeProbe] {
-            for noise in [NoiseSpec::NONE, NoiseSpec::C3, NoiseSpec::C4, NoiseSpec::C3C4] {
+        for (kind, _) in KINDS {
+            for (noise, _) in NOISES {
                 v.push(AttackCase { kind, noise, cross_core: true });
             }
         }
@@ -129,45 +150,30 @@ impl DefensePoint {
 
     /// Stable short tag used in scenario ids (e.g. `full32`).
     pub fn tag(&self) -> String {
-        let c = match self.config {
-            DefenseConfig::None => return "base".to_string(),
-            DefenseConfig::St => return "st".to_string(),
-            DefenseConfig::At => "at",
-            DefenseConfig::StAt => "stat",
-            DefenseConfig::AtRp => "atrp",
-            DefenseConfig::Full => "full",
-        };
-        format!("{c}{}", self.buffers)
+        let (_, tag, _) = self.row();
+        match self.config {
+            DefenseConfig::None | DefenseConfig::St => tag.to_string(),
+            _ => format!("{tag}{}", self.buffers),
+        }
     }
 
     /// Lossless `config:buffers` form for campaign manifests. Unlike
     /// [`DefensePoint::tag`] (which drops the buffer count for
     /// buffer-less configs), this round-trips every point exactly.
     pub fn spec(&self) -> String {
-        let c = match self.config {
-            DefenseConfig::None => "none",
-            DefenseConfig::St => "st",
-            DefenseConfig::At => "at",
-            DefenseConfig::StAt => "stat",
-            DefenseConfig::AtRp => "atrp",
-            DefenseConfig::Full => "full",
-        };
-        format!("{c}:{}", self.buffers)
+        let (_, _, name) = self.row();
+        format!("{name}:{}", self.buffers)
     }
 
     /// Parses the [`DefensePoint::spec`] form.
     pub fn from_spec(spec: &str) -> Option<DefensePoint> {
-        let (config, buffers) = spec.split_once(':')?;
-        let config = match config {
-            "none" => DefenseConfig::None,
-            "st" => DefenseConfig::St,
-            "at" => DefenseConfig::At,
-            "stat" => DefenseConfig::StAt,
-            "atrp" => DefenseConfig::AtRp,
-            "full" => DefenseConfig::Full,
-            _ => return None,
-        };
+        let (name, buffers) = spec.split_once(':')?;
+        let &(config, ..) = DEFENSES.iter().find(|d| d.2 == name)?;
         Some(DefensePoint { config, buffers: buffers.parse().ok()? })
+    }
+
+    fn row(&self) -> (DefenseConfig, &'static str, &'static str) {
+        *DEFENSES.iter().find(|d| d.0 == self.config).expect("every configuration has a row")
     }
 }
 
@@ -371,11 +377,10 @@ impl SweepGrid {
     /// zero-false-negative gate), so the grid stays compact and fully
     /// deterministic.
     pub fn audit_quick() -> Self {
-        let kinds = [AttackKind::FlushReload, AttackKind::EvictReload, AttackKind::PrimeProbe];
         SweepGrid {
-            leakages: kinds
-                .into_iter()
-                .map(|kind| AttackCase { kind, noise: NoiseSpec::NONE, cross_core: false })
+            leakages: KINDS
+                .iter()
+                .map(|&(kind, _)| AttackCase { kind, noise: NoiseSpec::NONE, cross_core: false })
                 .collect(),
             defenses: vec![
                 DefensePoint::new(DefenseConfig::None),

@@ -63,7 +63,7 @@ pub use lease::{
     WorkEvent, WorkOptions, WorkSummary, LEASE_DIR,
 };
 pub use record::{ScenarioResult, REPORT_SCHEMA_VERSION};
-pub use scenario::{basic_tag, run_scenario_with, Payload, Scenario};
+pub use scenario::{basic_from_tag, basic_tag, run_scenario_with, Payload, Scenario};
 #[cfg(unix)]
 pub use serve::{
     done_line, event_line, hello_line, serve_campaign, ServeOptions, ServeSummary, WorkerReport,

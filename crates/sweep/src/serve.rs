@@ -4,7 +4,8 @@
 //! The supervisor owns no shard state — coordination lives entirely in
 //! the lease files ([`crate::lease`]), so the socket is *telemetry
 //! only*: workers report claims, commits, breaks and quarantines as
-//! line-oriented text; the supervisor renders progress, keeps
+//! line-oriented text (and print them only once the socket is gone, so
+//! each line shows once); the supervisor renders progress, keeps
 //! per-worker shard counts, restarts children that die (up to a
 //! restart budget, after which it degrades to fewer workers), and
 //! kills the fleet when no *progress* event arrives for a stall
@@ -158,12 +159,13 @@ pub fn event_line(event: &WorkEvent) -> String {
     }
 }
 
-/// The worker's final report: `done <committed> <loaded> <claims>
-/// <renewals> <breaks> <reclaims> <quarantines>`.
+/// The worker's final report: `done <shards> <committed> <loaded>
+/// <claims> <renewals> <breaks> <reclaims> <quarantines>`.
 pub fn done_line(summary: &WorkSummary) -> String {
     let c = &summary.counters;
     format!(
-        "done {} {} {} {} {} {} {}",
+        "done {} {} {} {} {} {} {} {}",
+        summary.shards,
         summary.committed,
         summary.loaded,
         c.lease_claims,
@@ -206,7 +208,7 @@ impl Msg {
             "waiting" => Msg::Waiting { remaining: next()? as usize },
             "done" => Msg::Done {
                 summary: Box::new(WorkSummary {
-                    shards: 0,
+                    shards: next()? as usize,
                     committed: next()? as usize,
                     loaded: next()? as usize,
                     counters: ObsCounters {
@@ -556,9 +558,7 @@ mod tests {
         assert_eq!(parsed.counters.lease_claims, 10);
         assert_eq!(parsed.counters.lease_breaks, 2);
         assert_eq!(parsed.counters.shard_quarantines, 1);
-        // The done line does not carry the shard count; slots learn it
-        // from commit events instead.
-        assert_eq!(parsed.shards, 0);
+        assert_eq!(parsed.shards, 16);
     }
 
     #[test]

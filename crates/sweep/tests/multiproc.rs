@@ -249,6 +249,30 @@ fn fault_free_serve_accounts_for_every_shard() {
     fs::remove_dir_all(&camp).unwrap();
 }
 
+/// A supervised worker sends its events to `serve` and prints none
+/// itself, so every commit shows on stderr exactly once — and not at
+/// all under `serve --quiet`.
+#[test]
+fn serve_prints_each_commit_once() {
+    for quiet in [false, true] {
+        let camp = scratch(if quiet { "serve-quiet" } else { "serve-loud" });
+        let mut serve = Command::new(SWEEP);
+        serve.args(["serve", camp.to_str().unwrap(), "--workers", "2", "--shard-size", "2"]);
+        serve.args(GRID).args(quiet.then_some("--quiet"));
+        let out = serve.stdout(Stdio::null()).output().expect("run sweep serve");
+        let log = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "serve failed: {}\n{log}", out.status);
+        let commits: Vec<&str> = log.lines().filter(|l| l.contains("committed shard")).collect();
+        let expected = if quiet { 0 } else { 8 };
+        assert_eq!(commits.len(), expected, "quiet={quiet}:\n{log}");
+        for k in 0..expected {
+            let shard = format!("committed shard {k} (");
+            assert_eq!(commits.iter().filter(|l| l.contains(&shard)).count(), 1, "{log}");
+        }
+        fs::remove_dir_all(&camp).unwrap();
+    }
+}
+
 /// Two fault-free `sweep work` processes racing on one half-finished
 /// campaign: both must exit cleanly and write identical artifacts.
 #[test]
