@@ -26,28 +26,26 @@
 //!             forensics.json in the working directory
 //!   bench-sim simulator-throughput microbenches (access fast path,
 //!             prefetch storm, fresh-vs-runner leakage cells); writes
-//!             BENCH_sim.json in the working directory
-//!   bench-sweep
-//!             sweep-engine thread-scaling bench: the CI 576-scenario
-//!             grid at 1/2/4/8 threads with parallel efficiency per row
-//!             (artifacts asserted byte-identical across thread counts);
-//!             writes BENCH_sweep.json (schema v2)
-//!   profile   span-based phase breakdown (fetch/execute/defense/settle/
-//!             expiry/decode/resample) of one leakage cell and the
-//!             576-scenario grid at 1 thread; writes PROFILE.json in the
-//!             working directory
+//!             BENCH_sim.json in the working directory, then fails if
+//!             the headline cell's runner/fresh speedup is below 1.5x or
+//!             the trace-armed access-hit loop is below 0.40x of the
+//!             disarmed one
 //!   audit     static secret-dependence audit: taint-analyze every attack
 //!             and workload program, predict DataScale coverage per sink,
 //!             and cross-validate against a compact measured leakage grid
 //!             (zero static false negatives); writes AUDIT.json in the
-//!             working directory.
+//!             working directory. Arguments after `audit` are its
+//!             flags:
 //!             audit --list             list auditable programs
 //!             audit --program <name>   analyze one program, no leakage run
 //!   all       everything above except forensics (a deliberately slow
-//!             trace-armed deep dive) and bench-sim, bench-sweep and
-//!             profile (whose output is timing-dependent, not a paper
-//!             artifact)
+//!             trace-armed deep dive) and bench-sim (whose output is
+//!             timing-dependent, not a paper artifact)
 //! ```
+//!
+//! Wall-clock attribution of a campaign, layer by layer, is measured
+//! from outside the program by `perfbench` (its own workspace under
+//! `perfbench/`).
 //!
 //! Every grid-shaped experiment is sharded across the sweep engine's
 //! worker pool; the dedicated `sweep` binary in `prefender-sweep` adds
@@ -56,7 +54,17 @@
 use std::env;
 use std::process::ExitCode;
 
+use prefender_bench::simbench::SimBenchReport;
 use prefender_bench::{ablation, audit, figures, hwcost, leakage, security, tables};
+
+/// `bench-sim`'s floor for the headline cell's runner/fresh speedup:
+/// runner reuse must stay a clear win over a fresh machine per trial.
+const MIN_RUNNER_SPEEDUP: f64 = 1.5;
+/// `bench-sim`'s floor for trace-armed over disarmed access-hit
+/// throughput (both best-of-3). The armed recorder builds and pushes two
+/// events per hit; only a real regression (an allocation in the record
+/// path, a lock, an O(n) drain) should trip this.
+const MIN_TRACE_RATIO: f64 = 0.40;
 
 /// What `repro audit [--list | --program <name>]` should do.
 enum AuditMode {
@@ -122,7 +130,29 @@ fn run_audit(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn run_one(name: &str) -> Result<(), String> {
+/// Checks `bench-sim`'s two gates, printing both measured ratios.
+fn check_sim_gates(report: &SimBenchReport) -> Result<(), String> {
+    let gates = [
+        ("headline runner/fresh speedup", report.headline_speedup(), MIN_RUNNER_SPEEDUP),
+        (
+            "trace-armed/disarmed access-hit throughput",
+            report.access_hit_trace_per_sec / report.access_hit_per_sec,
+            MIN_TRACE_RATIO,
+        ),
+    ];
+    for (what, got, floor) in gates {
+        println!("gate: {what} {got:.2}x (floor {floor:.2}x)");
+    }
+    match gates.iter().find(|&&(_, got, floor)| got < floor) {
+        Some((what, got, floor)) => {
+            Err(format!("bench-sim: {what} {got:.2}x is below {floor:.2}x"))
+        }
+        None => Ok(()),
+    }
+}
+
+/// Runs one experiment; `audit_flags` are the arguments `audit` reads.
+fn run_one(name: &str, audit_flags: &[String]) -> Result<(), String> {
     match name {
         "fig8" => {
             println!("=== Figure 8: security evaluation ===\n");
@@ -203,22 +233,7 @@ fn run_one(name: &str) -> Result<(), String> {
                 .map_err(|e| format!("writing forensics.json: {e}"))?;
             println!("wrote forensics.json");
         }
-        "bench-sweep" => {
-            println!("=== Sweep-engine thread scaling: 576-scenario grid ===\n");
-            let report = prefender_bench::sweepbench::run(&[1, 2, 4, 8]);
-            print!("{}", report.render());
-            prefender_obs::write_atomic("BENCH_sweep.json", report.to_json())
-                .map_err(|e| format!("writing BENCH_sweep.json: {e}"))?;
-            println!("\nwrote BENCH_sweep.json");
-        }
-        "profile" => {
-            println!("=== Phase profile: spans over one leakage cell + the 576 grid ===\n");
-            let report = prefender_bench::profile::run();
-            print!("{}", report.render());
-            prefender_obs::write_atomic("PROFILE.json", report.to_json())
-                .map_err(|e| format!("writing PROFILE.json: {e}"))?;
-            println!("wrote PROFILE.json");
-        }
+        "audit" => run_audit(audit_flags)?,
         "bench-sim" => {
             println!("=== Simulator throughput: hot path + fresh-vs-runner cells ===\n");
             let report = prefender_bench::simbench::run(200);
@@ -226,6 +241,7 @@ fn run_one(name: &str) -> Result<(), String> {
             prefender_obs::write_atomic("BENCH_sim.json", report.to_json())
                 .map_err(|e| format!("writing BENCH_sim.json: {e}"))?;
             println!("\nwrote BENCH_sim.json");
+            check_sim_gates(&report)?;
         }
         "all" => {
             for e in [
@@ -244,8 +260,9 @@ fn run_one(name: &str) -> Result<(), String> {
                 "ablate-replacement",
                 "sweep",
                 "leakage",
+                "audit",
             ] {
-                run_one(e)?;
+                run_one(e, &[])?;
             }
         }
         other => return Err(format!("unknown experiment `{other}`")),
@@ -257,24 +274,48 @@ fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
     if args.is_empty() {
         eprintln!(
-            "usage: repro <fig8|fig9|fig10|fig11|fig12|table4|table5|table6|hwcost|ablate-*|sweep|leakage|forensics|audit|bench-sim|bench-sweep|profile|all> ..."
+            "usage: repro <fig8|fig9|fig10|fig11|fig12|table4|table5|table6|hwcost|ablate-*|sweep|leakage|forensics|audit|bench-sim|all> ..."
         );
         return ExitCode::FAILURE;
     }
-    if args[0] == "audit" {
-        return match run_audit(&args[1..]) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("repro: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    for a in &args {
-        if let Err(e) = run_one(a) {
+    // `audit` takes the rest of the line as its own flags.
+    let (names, audit_flags) = match args.iter().position(|a| a == "audit") {
+        Some(i) => args.split_at(i + 1),
+        None => (&args[..], &[][..]),
+    };
+    for a in names {
+        if let Err(e) = run_one(a, audit_flags) {
             eprintln!("repro: {e}");
             return ExitCode::FAILURE;
         }
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use prefender_bench::simbench::CellBench;
+
+    fn report(speedup: f64, trace_per_sec: f64) -> SimBenchReport {
+        SimBenchReport {
+            access_hit_per_sec: 1000.0,
+            access_hit_trace_per_sec: trace_per_sec,
+            storm_ops_per_sec: 1.0,
+            cells: vec![CellBench {
+                label: "fr/base/cross-core",
+                trials: 1,
+                fresh_sims_per_sec: 1.0,
+                runner_sims_per_sec: speedup,
+                speedup,
+            }],
+        }
+    }
+
+    #[test]
+    fn sim_gates_pass_at_their_floors_and_fail_below() {
+        assert!(check_sim_gates(&report(1.5, 400.0)).is_ok());
+        assert!(check_sim_gates(&report(1.49, 1000.0)).unwrap_err().contains("speedup"));
+        assert!(check_sim_gates(&report(3.0, 399.0)).unwrap_err().contains("trace-armed"));
+    }
 }

@@ -18,7 +18,6 @@
 //! | (extension: Figure 8 in bits) | [`leakage::leakage_map`] | `leakage` |
 //! | (extension: static audit) | [`audit::run`] | `audit` |
 //! | (extension: hot-path throughput) | [`simbench::run`] | `bench-sim` |
-//! | (extension: phase profile) | [`profile::run`] | `profile` |
 //!
 //! Every runner is a pure function returning printable text plus
 //! structured data, so the integration tests can assert the paper's
@@ -31,10 +30,8 @@ pub mod figures;
 pub mod forensics;
 pub mod hwcost;
 pub mod leakage;
-pub mod profile;
 pub mod security;
 pub mod simbench;
-pub mod sweepbench;
 pub mod tables;
 
 // The performance-run machinery lives beside the sweep engine

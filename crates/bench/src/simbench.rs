@@ -4,12 +4,11 @@
 //! so CI can track the throughput trajectory release over release:
 //!
 //! * **access-hit loop** — the settled fast path: demand hits against an
-//!   idle completion queue (accesses/sec), measured three ways — spans
-//!   disarmed (the default), spans armed, and with the flight recorder
-//!   armed — so CI can gate the obs layer's overhead on the hottest path
-//!   (counters are always-on plain `u64` adds; the span-armed run
-//!   additionally pays each span site's enabled-check, the trace-armed
-//!   run pays full event construction and the ring push);
+//!   idle completion queue (accesses/sec), measured with the flight
+//!   recorder disarmed (the default) and armed, so the trace gate can
+//!   price the recorder on the hottest path (counters are always-on plain
+//!   `u64` adds; the trace-armed run pays full event construction and the
+//!   ring push);
 //! * **prefetch storm** — in-flight-heavy behaviour: interleaved
 //!   prefetches and demand accesses keeping the completion queues busy
 //!   (operations/sec);
@@ -23,9 +22,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use prefender_attacks::{run_attack_full, AttackKind, AttackSpec, DefenseConfig, Runner};
-use prefender_obs::{
-    arm_trace, disarm_trace, enable_spans, take_thread_profile, take_thread_trace, HostInfo, Value,
-};
+use prefender_obs::{arm_trace, disarm_trace, take_thread_trace, HostInfo, Value};
 use prefender_sim::{AccessKind, Addr, Cycle, HierarchyConfig, MemorySystem, PrefetchSource};
 
 /// Fresh-vs-runner measurement of one leakage-campaign cell.
@@ -46,11 +43,9 @@ pub struct CellBench {
 /// The full `repro bench-sim` record.
 #[derive(Debug, Clone)]
 pub struct SimBenchReport {
-    /// Settled-fast-path demand hits per second, spans disarmed.
+    /// Settled-fast-path demand hits per second, flight recorder
+    /// disarmed.
     pub access_hit_per_sec: f64,
-    /// The same loop with the span collector armed — the obs-overhead
-    /// gate compares this against `access_hit_per_sec`.
-    pub access_hit_obs_per_sec: f64,
     /// The same loop with the flight recorder armed (ring sized so no
     /// event drops): the trace-overhead gate compares this against
     /// `access_hit_per_sec`. The *disarmed* recorder costs one Relaxed
@@ -78,7 +73,6 @@ impl SimBenchReport {
         let record = Value::Obj(vec![
             ("bench".into(), Value::Str("sim".into())),
             ("access_hit_per_sec".into(), Value::F64(self.access_hit_per_sec)),
-            ("access_hit_obs_per_sec".into(), Value::F64(self.access_hit_obs_per_sec)),
             ("access_hit_trace_per_sec".into(), Value::F64(self.access_hit_trace_per_sec)),
             ("storm_ops_per_sec".into(), Value::F64(self.storm_ops_per_sec)),
             ("leakage_cells".into(), Value::Arr(cells.collect())),
@@ -91,8 +85,6 @@ impl SimBenchReport {
     pub fn render(&self) -> String {
         let mut s = String::new();
         let _ = writeln!(s, "access-hit fast path   {:>12.0} accesses/s", self.access_hit_per_sec);
-        let _ =
-            writeln!(s, "access-hit, spans on   {:>12.0} accesses/s", self.access_hit_obs_per_sec);
         let _ = writeln!(
             s,
             "access-hit, trace on   {:>12.0} accesses/s",
@@ -193,9 +185,9 @@ fn bench_cell(label: &'static str, base: &AttackSpec, trials: u32) -> CellBench 
     }
 }
 
-/// Best-of-3 access-hit measurement: both sides of the obs-overhead
-/// gate use the fastest of three runs, so one scheduler hiccup can't
-/// fake a regression (or hide one behind noise).
+/// Best-of-3 access-hit measurement: both sides of the trace gate use
+/// the fastest of three runs, so one scheduler hiccup can't fake a
+/// regression (or hide one behind noise).
 fn best_access_hit(iters: u64) -> f64 {
     (0..3).map(|_| bench_access_hit(iters)).fold(0.0, f64::max)
 }
@@ -223,18 +215,6 @@ fn best_access_hit_traced(iters: u64) -> f64 {
 /// uses 200; anything ≥ 50 gives stable ratios).
 pub fn run(trials: u32) -> SimBenchReport {
     let access_hit_per_sec = best_access_hit(1_000_000);
-    // The armed variant: spans enabled globally, profile drained after
-    // so the bench leaves no state behind. The measured loop never
-    // *opens* a span (the settle span only opens when completions are
-    // due), so this prices exactly what always-on arming costs the
-    // fast path: the per-site enabled checks.
-    let access_hit_obs_per_sec = {
-        enable_spans(true);
-        let per_sec = best_access_hit(1_000_000);
-        enable_spans(false);
-        let _ = take_thread_profile();
-        per_sec
-    };
     let access_hit_trace_per_sec = best_access_hit_traced(1_000_000);
     let storm_ops_per_sec = bench_storm(200_000);
     // Headline cell: the cross-core Flush+Reload channel — the paper's
@@ -251,13 +231,7 @@ pub fn run(trials: u32) -> SimBenchReport {
             trials,
         ),
     ];
-    SimBenchReport {
-        access_hit_per_sec,
-        access_hit_obs_per_sec,
-        access_hit_trace_per_sec,
-        storm_ops_per_sec,
-        cells,
-    }
+    SimBenchReport { access_hit_per_sec, access_hit_trace_per_sec, storm_ops_per_sec, cells }
 }
 
 #[cfg(test)]
@@ -268,7 +242,6 @@ mod tests {
     fn report_json_shape() {
         let r = SimBenchReport {
             access_hit_per_sec: 1000.0,
-            access_hit_obs_per_sec: 990.0,
             access_hit_trace_per_sec: 800.0,
             storm_ops_per_sec: 2000.5,
             cells: vec![CellBench {
@@ -281,7 +254,7 @@ mod tests {
         };
         let j = r.to_json();
         assert!(j.starts_with("{\"bench\": \"sim\""));
-        assert!(j.contains("\"access_hit_obs_per_sec\": 990,"));
+        assert!(j.contains("\"access_hit_per_sec\": 1000,"));
         assert!(j.contains("\"access_hit_trace_per_sec\": 800,"));
         assert!(j.contains("\"storm_ops_per_sec\": 2000.5,"));
         assert!(j.contains("\"speedup\": 4}"));
@@ -290,7 +263,6 @@ mod tests {
         assert!(j.ends_with("}\n"));
         assert_eq!(r.headline_speedup(), 4.0);
         assert!(r.render().contains("fr/base/cross-core"));
-        assert!(r.render().contains("spans on"));
         assert!(r.render().contains("trace on"));
     }
 

@@ -490,9 +490,6 @@ impl AccessTracker {
         if self.n_protected == 0 {
             return;
         }
-        // The early return above keeps idle loads span-free: the walk (and
-        // hence the span) only opens while protections are actually live.
-        let _span = prefender_obs::span("expiry");
         // Stop as soon as every protected buffer has been visited — with
         // one or two protections live (the common attack shape) the walk
         // ends after a handful of slots instead of the whole file.

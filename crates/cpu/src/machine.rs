@@ -122,7 +122,6 @@ fn notify_access(
     scratch: &mut Vec<PrefetchRequest>,
     ev: &AccessEvent,
 ) {
-    let _span = prefender_obs::span("defense");
     scratch.clear();
     pf.on_access_into(ev, &|a| mem.probe_l1d(ev.core, a), scratch);
     for r in scratch.iter() {
@@ -486,14 +485,9 @@ impl Machine {
         };
 
         if cfg.model_fetch {
-            let _span = prefender_obs::span("fetch");
             t += mem.fetch(c, Addr::new(pc), t);
         }
 
-        // The execute span covers dispatch, the memory access and the
-        // in-line defense notification; nested spans (settle, defense,
-        // expiry) subtract themselves from its self-time.
-        let execute_span = prefender_obs::span("execute");
         let mut next = core.pc_index + 1;
         let cost = match instr {
             Instr::LoadImm { rd, imm } => {
@@ -642,7 +636,6 @@ impl Machine {
                 0
             }
         };
-        drop(execute_span);
 
         let wanted = match retire_interest[c] {
             RetireInterest::None => false,
@@ -651,7 +644,6 @@ impl Machine {
         };
         if wanted {
             if let Some(pf) = prefetchers[c].as_mut() {
-                let _span = prefender_obs::span("defense");
                 pf.on_retire(&RetireEvent { core: c, pc, instr: &instr, now: t });
             }
         }

@@ -178,10 +178,7 @@ impl LeakageCampaign {
         let (channel, totals, hist) =
             self.run_counts_with_runner(campaign_seed, runner, 0..trials)?;
         let mut result = LeakageResult::from_parts(channel, totals, hist);
-        {
-            let _span = prefender_obs::span("resample");
-            result.apply_resampling(resample, campaign_seed);
-        }
+        result.apply_resampling(resample, campaign_seed);
         Ok(result)
     }
 
@@ -218,10 +215,7 @@ impl LeakageCampaign {
                 spec.layout.secret = secret;
                 spec.seed = self.trial_seed(campaign_seed, slot, trial);
                 let (outcome, metrics) = runner.run_full(&spec)?;
-                {
-                    let _span = prefender_obs::span("decode");
-                    channel.record(slot, self.decoder.observe(&outcome));
-                }
+                channel.record(slot, self.decoder.observe(&outcome));
                 totals.cycles += metrics.cycles;
                 totals.instructions += metrics.instructions;
                 totals.l1d += metrics.l1d;

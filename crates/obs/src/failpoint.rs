@@ -4,7 +4,7 @@
 //! tested against. A *failpoint* is a named hook compiled into
 //! production paths (shard commits, atomic writes) that normally does
 //! nothing — disarmed, each site costs one `Relaxed` atomic load, the
-//! same zero-cost-when-off contract the span and trace layers keep.
+//! same zero-cost-when-off contract the trace layer keeps.
 //! Armed with a rule, the hook can:
 //!
 //! * **kill** the process on the spot (`std::process::abort`, i.e. an

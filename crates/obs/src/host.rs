@@ -4,9 +4,9 @@ use crate::snapshot::Value;
 
 /// The machine a measurement ran on.
 ///
-/// Bench throughput numbers (`BENCH_sim.json`, `BENCH_sweep.json`) are
-/// only interpretable next to the host that produced them — a flat
-/// 8-thread parallel efficiency on a single-vCPU runner is expected, the
+/// Bench throughput numbers (`BENCH_sim.json`, the `sweep --bench-json`
+/// records) are only interpretable next to the host that produced them —
+/// a flat 8-thread scaling ratio on a single-vCPU runner is expected, the
 /// same number on an 8-core box is a regression. This block carries just
 /// enough to tell those apart. It never goes into determinism-checked
 /// artifacts (it contains a wall-clock timestamp).

@@ -1,10 +1,12 @@
 //! Zero-cost-when-off observability for the PREFENDER reproduction.
 //!
 //! This crate is dependency-free and sits below every other workspace
-//! crate. It provides three layers, all designed around one hard
-//! contract: **enabling observability never changes an artifact byte**.
-//! Wall-clock time is allowed only in obs/profile outputs, never in
-//! `sweep.json`/`leakage.json`/CSV/figure artifacts.
+//! crate. Every layer keeps one hard contract: **enabling observability
+//! never changes an artifact byte**. Wall-clock time is allowed only in
+//! obs and bench outputs, never in `sweep.json`/`leakage.json`/CSV/figure
+//! artifacts. Wall-clock attribution of a campaign is measured from
+//! outside the program, by `perfbench --trace 1`, so nothing here reads
+//! the clock on a simulation path.
 //!
 //! 1. **Counters** ([`ObsCounters`]) — plain-`u64` event counts kept
 //!    always-on by the simulator, CPU, defense models and attack runner.
@@ -13,25 +15,19 @@
 //!    pure functions of the scenario, so campaign totals are identical at
 //!    every thread count (merging is a field-wise sum, plus `max` for
 //!    high-water marks — both order-independent).
-//! 2. **Spans** ([`span`], [`take_thread_profile`]) — a manual scoped
-//!    timer API with a per-thread span stack. Unless a collector is
-//!    enabled via [`enable_spans`], opening a span is one `Relaxed`
-//!    atomic load and no clock read. Enabled spans accumulate
-//!    (count, total, self-time) per phase name into a thread-local
-//!    profile, drained by [`take_thread_profile`].
-//! 3. **Flight recorder** ([`trace_event`], [`take_thread_trace`]) — a
+//! 2. **Flight recorder** ([`trace_event`], [`take_thread_trace`]) — a
 //!    typed, cycle-stamped µarch event trace captured into a preallocated
 //!    per-thread buffer. Disarmed (the default), each site is one
 //!    `Relaxed` load and never constructs its event; armed via
 //!    [`arm_trace`], a full buffer drops-and-counts rather than
 //!    reallocating. Per-run drains make traces byte-identical at any
 //!    thread count.
-//! 4. **Snapshots & telemetry** ([`Value`], [`HostInfo`],
+//! 3. **Snapshots & telemetry** ([`Value`], [`HostInfo`],
 //!    [`ProgressReporter`]) — a tiny deterministic JSON tree (the build
-//!    environment vendors no serde) for `obs.json`/`PROFILE.json`, host
-//!    identification for bench reports, and a throttled stderr progress
-//!    meter for long campaigns.
-//! 5. **Crash safety** ([`write_atomic`], [`failpoint`]) — the one
+//!    environment vendors no serde) for `obs.json` and the bench
+//!    records, host identification for bench reports, and a throttled
+//!    stderr progress meter for long campaigns.
+//! 4. **Crash safety** ([`write_atomic`], [`failpoint`]) — the one
 //!    atomic-rename + fsync path every artifact write goes through, and
 //!    a deterministic fault-injection registry (env/flag-armed,
 //!    zero-cost when off) that can kill the process or fail an I/O
@@ -43,7 +39,6 @@ mod fsio;
 mod host;
 mod progress;
 mod snapshot;
-mod span;
 mod trace;
 
 pub use counters::ObsCounters;
@@ -55,7 +50,6 @@ pub use fsio::{atomic_tmp_pid, is_atomic_tmp, pid_alive, write_atomic};
 pub use host::HostInfo;
 pub use progress::ProgressReporter;
 pub use snapshot::Value;
-pub use span::{enable_spans, span, span_if, spans_enabled, take_thread_profile, Phase, SpanGuard};
 pub use trace::{
     arm_trace, disarm_trace, take_thread_trace, trace_armed, trace_event, CacheTag, TraceBuf,
     TraceEvent, DEFAULT_TRACE_CAPACITY,

@@ -1,4 +1,4 @@
-//! A tiny deterministic JSON tree for obs and profile outputs.
+//! A tiny deterministic JSON tree for obs, bench and artifact outputs.
 //!
 //! The build environment vendors no serde, so this is hand-rolled:
 //! object keys keep insertion order, floats go through Rust's

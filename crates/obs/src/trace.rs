@@ -3,8 +3,8 @@
 //! Tracing is **off by default**: until [`arm_trace`] runs, every
 //! [`trace_event`] site costs one `Relaxed` atomic load and does not even
 //! construct its event (the site passes a closure) — the same
-//! zero-cost-when-off contract the span layer keeps. When armed, events
-//! land in a preallocated per-thread buffer of fixed capacity; a full
+//! zero-cost-when-off contract the failpoint registry keeps. When armed,
+//! events land in a preallocated per-thread buffer of fixed capacity; a full
 //! buffer **drops and counts** instead of reallocating, so an armed
 //! recorder never perturbs the allocator mid-run.
 //!
@@ -453,7 +453,7 @@ mod tests {
     use super::*;
 
     // The armed-trace tests share the one global switch; serialize them
-    // (and restore the disarmed default) like the span tests do.
+    // and restore the disarmed default.
     static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     fn ev(at: u64) -> TraceEvent {

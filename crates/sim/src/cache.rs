@@ -230,16 +230,6 @@ impl Cache {
         self.sets.iter().filter(|l| l.valid).count()
     }
 
-    /// `true` when at least one completion-queue entry is due at `now` —
-    /// a single heap peek. The hierarchy uses this to open its `settle`
-    /// profiling span only when settling will actually pop entries, so an
-    /// armed span collector costs the idle access path nothing. (The peek
-    /// may report a *cancelled* entry as due; settling then just discards
-    /// it, which is still real queue work.)
-    pub fn completion_due(&self, now: Cycle) -> bool {
-        matches!(self.completions.peek(), Some(&Reverse((ready_at, _))) if ready_at <= now)
-    }
-
     /// Materializes every in-flight prefetch whose completion time has
     /// passed. Called by the hierarchy before each lookup so that lazy
     /// completion is invisible to callers.

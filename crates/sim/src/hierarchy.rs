@@ -208,13 +208,6 @@ impl MemorySystem {
         // inclusion. Each expiry is an O(1) completion-queue peek when
         // nothing is due, and evictions land in the reused scratch buffer
         // — the settled fast path performs no heap allocation.
-        //
-        // The profiling span opens only when a completion is actually due:
-        // with spans disabled this line is one relaxed atomic load, and
-        // even with a collector armed the settled (idle-queue) access path
-        // never reads the clock.
-        let _span =
-            prefender_obs::span_if("settle", prefender_obs::spans_enabled() && self.due(now));
         let mut evicted = std::mem::take(&mut self.scratch);
         evicted.clear();
         self.l2.expire_inflight_into(now, &mut evicted);
@@ -228,11 +221,6 @@ impl MemorySystem {
             }
         }
         self.scratch = evicted;
-    }
-
-    /// One heap peek per cache: is any completion due at `now`?
-    fn due(&self, now: Cycle) -> bool {
-        self.l2.completion_due(now) || self.l1d.iter().any(|c| c.completion_due(now))
     }
 
     fn writeback_from_l1(&mut self, e: EvictedLine) {

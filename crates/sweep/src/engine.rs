@@ -55,8 +55,7 @@ fn chunk_size(items: usize, threads: usize) -> usize {
 /// nothing mutable beyond the cursor; each buffers its chunks locally,
 /// and the final assembly orders the chunks by start index. With one
 /// worker everything runs inline on the calling thread, chunk by chunk,
-/// which is what lets `repro profile` read back its thread-local span
-/// profile.
+/// so a one-thread run spawns no thread.
 ///
 /// # Panics
 ///
@@ -369,8 +368,7 @@ fn ms(d: Duration) -> f64 {
 /// of the grid and campaign seed at any thread count. Each worker's state
 /// is its runner plus its telemetry, all dropped on return, so one call's
 /// runner reuse never leaks into the next. At `threads <= 1` everything
-/// executes inline on the calling thread (no pool), which is what lets
-/// `repro profile` read back its thread-local span profile.
+/// executes inline on the calling thread (no pool).
 pub fn run_sweep_observed(
     grid: &SweepGrid,
     opts: &SweepOptions,
