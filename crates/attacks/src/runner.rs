@@ -403,11 +403,13 @@ pub struct TimelinePoint {
 
 /// Reads PREFENDER's per-unit stats out of a machine core, when the
 /// attached prefetcher is a [`Prefender`].
-pub(crate) fn prefender_stats(m: &Machine, core: usize) -> Option<PrefenderStats> {
+pub fn prefender_stats(m: &Machine, core: usize) -> Option<PrefenderStats> {
     m.prefetcher(core)?.as_any()?.downcast_ref::<Prefender>().map(|p| p.stats())
 }
 
-pub(crate) fn prefender_protected(m: &Machine, core: usize) -> usize {
+/// A core's currently protected access buffers (Figure 12's quantity);
+/// 0 when the attached prefetcher is not a [`Prefender`].
+pub fn prefender_protected(m: &Machine, core: usize) -> usize {
     m.prefetcher(core)
         .and_then(|p| p.as_any())
         .and_then(|a| a.downcast_ref::<Prefender>())

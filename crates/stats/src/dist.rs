@@ -114,24 +114,6 @@ impl Histogram {
             self.record_n(s, c);
         }
     }
-
-    /// The `q`-quantile symbol (nearest-rank over the recorded counts):
-    /// the smallest symbol whose cumulative count reaches `q · total`.
-    /// `None` when empty; `q` is clamped to `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> Option<u64> {
-        if self.total == 0 {
-            return None;
-        }
-        let rank = (q.clamp(0.0, 1.0) * self.total as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (s, c) in self.counts() {
-            seen += c;
-            if seen >= rank {
-                return Some(s);
-            }
-        }
-        self.counts.keys().next_back().copied()
-    }
 }
 
 impl FromIterator<u64> for Histogram {
@@ -212,24 +194,6 @@ mod tests {
         assert_eq!(b.count(3), 4);
         assert_eq!(b.total(), 8);
         assert_eq!(Histogram::from_counts([(5, 2), (5, 3)]).count(5), 5);
-    }
-
-    #[test]
-    fn quantile_nearest_rank() {
-        assert_eq!(Histogram::new().quantile(0.5), None);
-        let h = Histogram::from_counts([(1, 1), (2, 1), (3, 1), (4, 1)]);
-        assert_eq!(h.quantile(0.0), Some(1));
-        assert_eq!(h.quantile(0.25), Some(1));
-        assert_eq!(h.quantile(0.5), Some(2));
-        assert_eq!(h.quantile(0.75), Some(3));
-        assert_eq!(h.quantile(1.0), Some(4));
-        // Out-of-range q clamps instead of panicking.
-        assert_eq!(h.quantile(-1.0), Some(1));
-        assert_eq!(h.quantile(2.0), Some(4));
-        // A heavy symbol absorbs the middle quantiles.
-        let h = Histogram::from_counts([(10, 98), (500, 2)]);
-        assert_eq!(h.quantile(0.5), Some(10));
-        assert_eq!(h.quantile(0.99), Some(500));
     }
 
     #[test]

@@ -94,9 +94,7 @@ const SWEEP: &[Flag] = &[
 const WORK: &[Flag] = &[
     row("--threads", "N", Exec, "worker threads [default: 1]"),
     row("--lease-ttl-ms", "MS", Exec, "lease staleness horizon [default: 5000]"),
-    row("--sock", "PATH", Output, "supervisor socket for events and the summary"),
-    row("--worker-id", "K", Exec, "slot reported to the supervisor [default: 0]"),
-    row("--quiet", "", Exec, "no per-shard commit lines"),
+    row("--quiet", "", Exec, "no claim, commit or waiting lines"),
 ];
 
 /// `sweep serve DIR`'s own flags; it also takes `sweep`'s `Grid` flags
@@ -645,18 +643,14 @@ fn sweep(mut args: Args) -> Result<(), String> {
 }
 
 /// The `work`/`serve` subcommands — the multi-process campaign modes.
-/// Unix-only: worker telemetry rides a Unix domain socket.
-#[cfg(unix)]
 mod subcmd {
     use std::io::Write as _;
-    use std::os::unix::net::UnixStream;
     use std::path::PathBuf;
     use std::time::Duration;
 
     use prefender_sweep::{
-        done_line, event_line, hello_line, init_campaign, load_manifest, serve_campaign,
-        work_campaign, LeaseConfig, ServeOptions, SweepOptions, WorkEvent, WorkOptions,
-        MANIFEST_NAME,
+        init_campaign, load_manifest, serve_campaign, work_campaign, LeaseConfig, ServeOptions,
+        SweepOptions, WorkEvent, WorkOptions, MANIFEST_NAME,
     };
 
     use super::{
@@ -676,8 +670,6 @@ mod subcmd {
         pub(super) dir: PathBuf,
         pub(super) threads: usize,
         pub(super) ttl_ms: u64,
-        pub(super) sock: Option<PathBuf>,
-        pub(super) worker_id: usize,
         pub(super) quiet: bool,
     }
 
@@ -688,69 +680,35 @@ mod subcmd {
             dir,
             threads: given.parse("--threads")?.unwrap_or(1),
             ttl_ms: given.parse("--lease-ttl-ms")?.unwrap_or(LeaseConfig::default().ttl_ms),
-            sock: given.path("--sock"),
-            worker_id: given.parse("--worker-id")?.unwrap_or(0),
             quiet: given.has("--quiet"),
         })
     }
 
-    /// Sends one telemetry line to the supervisor. A failed write drops
-    /// the socket, and the worker prints its own lines from then on.
-    fn send(sock: &mut Option<UnixStream>, line: &str) -> bool {
-        let sent = sock.as_mut().is_some_and(|s| writeln!(s, "{line}").is_ok());
-        if !sent {
-            *sock = None;
-        }
-        sent
+    /// Prints one `sweep: work: …` line in a single write, so the
+    /// supervisor's reader never wakes for part of a line. A closed
+    /// stderr (a supervisor that died) is ignored: the worker still
+    /// finishes the campaign.
+    fn say(line: impl std::fmt::Display) {
+        let _ = std::io::stderr().write_all(format!("sweep: work: {line}\n").as_bytes());
     }
 
     pub(super) fn run_work(argv: &[String]) -> Result<(), String> {
         let wargs = parse_work(argv)?;
-        // Telemetry is best-effort: a worker without (or outliving) its
-        // supervisor still finishes the campaign.
-        let mut sock = wargs.sock.as_ref().and_then(|p| match UnixStream::connect(p) {
-            Ok(s) => Some(s),
-            Err(e) => {
-                eprintln!(
-                    "sweep: work: no supervisor at {}: {e} (continuing without telemetry)",
-                    p.display()
-                );
-                None
-            }
-        });
-        send(&mut sock, &hello_line(wargs.worker_id, std::process::id()));
         let opts =
             WorkOptions { threads: wargs.threads, lease: LeaseConfig::with_ttl_ms(wargs.ttl_ms) };
-        let quiet = wargs.quiet;
-        // A supervised worker's events are printed by its supervisor.
         let mut on_event = |e: &WorkEvent| {
-            if send(&mut sock, &event_line(e)) {
-                return;
-            }
-            match e {
-                WorkEvent::Broke { shard, holder_pid, age_ms } => eprintln!(
-                    "sweep: work: broke stale lease on shard {shard} \
-                 (holder pid {holder_pid}, heartbeat {age_ms}ms old)"
-                ),
-                WorkEvent::Quarantined { shard, why } => {
-                    eprintln!("sweep: work: quarantined invalid shard {shard}: {why}")
-                }
-                WorkEvent::Committed { shard, done, total } if !quiet => {
-                    eprintln!("sweep: work: committed shard {shard} ({done}/{total})")
-                }
-                _ => {}
+            if e.is_fault() || !wargs.quiet {
+                say(e);
             }
         };
         let (report, _, summary) =
             work_campaign(&wargs.dir, &opts, &mut on_event).map_err(|e| format!("work: {e}"))?;
-        if !send(&mut sock, &done_line(&summary)) {
-            eprintln!("sweep: work: {}", summary.render());
-        }
+        say(summary.render());
         // Every worker reaching this point holds the complete converged
         // report; concurrent writers commit identical bytes through the
         // atomic-rename path.
         let wrote = write_report_artifacts(&wargs.dir, &report)?;
-        if !quiet {
+        if !wargs.quiet {
             println!("{wrote}");
         }
         Ok(())
@@ -934,7 +892,6 @@ mod tests {
         }
     }
 
-    #[cfg(unix)]
     mod subcmd {
         use super::written;
         use crate::subcmd::{parse_serve, parse_work};
@@ -946,18 +903,19 @@ mod tests {
 
         #[test]
         fn work_parses_its_flags_and_requires_a_dir() {
-            let args = parse_work(&argv(
-                "camp --threads 2 --lease-ttl-ms 750 --sock camp/serve.sock --worker-id 3 --quiet",
-            ))
-            .expect("valid work line");
+            let args = parse_work(&argv("camp --threads 2 --lease-ttl-ms 750 --quiet"))
+                .expect("valid work line");
             assert_eq!(args.dir, std::path::Path::new("camp"));
             assert_eq!(args.threads, 2);
             assert_eq!(args.ttl_ms, 750);
-            assert_eq!(args.sock.as_deref(), Some(std::path::Path::new("camp/serve.sock")));
-            assert_eq!(args.worker_id, 3);
             assert!(args.quiet);
             for bad in ["", "--threads 2", "camp --bogus"] {
                 assert!(parse_work(&argv(bad)).is_err(), "`{bad}` must be rejected");
+            }
+            // The supervisor reads a worker's stderr: no socket to name.
+            for gone in ["sock", "worker-id"] {
+                let err = parse_work(&argv(&format!("camp --{gone} 1"))).err().unwrap_or_default();
+                assert_eq!(err, format!("unknown work option `--{gone}`"));
             }
         }
 

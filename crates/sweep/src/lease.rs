@@ -48,6 +48,7 @@
 //! disarmed discipline as every other site, so the out-of-process crash
 //! tests can fault any step of the protocol.
 
+use std::fmt;
 use std::fs::{self, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -450,8 +451,9 @@ impl Default for WorkOptions {
     }
 }
 
-/// A progress event from the worker loop, for telemetry (the `sweep
-/// work` CLI forwards these over the supervisor socket).
+/// A progress event from the worker loop. `sweep work` prints each as
+/// one `sweep: work: {event}` line on stderr, which `sweep serve` reads
+/// back from its workers' pipes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WorkEvent {
     /// Claimed a shard's lease.
@@ -491,7 +493,44 @@ pub enum WorkEvent {
     },
 }
 
-/// What one worker invocation did — the `sweep work` telemetry line.
+impl WorkEvent {
+    /// Whether this is a lease break or a quarantine, which print even
+    /// under `--quiet`.
+    pub fn is_fault(&self) -> bool {
+        matches!(self, WorkEvent::Broke { .. } | WorkEvent::Quarantined { .. })
+    }
+}
+
+impl fmt::Display for WorkEvent {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            WorkEvent::Claimed { shard } => write!(f, "claimed shard {shard}"),
+            WorkEvent::Committed { shard, done, total } => {
+                write!(f, "committed shard {shard} ({done}/{total})")
+            }
+            WorkEvent::Broke { shard, holder_pid, age_ms } => write!(
+                f,
+                "broke stale lease on shard {shard} (holder pid {holder_pid}, heartbeat \
+                 {age_ms}ms old)"
+            ),
+            WorkEvent::Quarantined { shard, why } => {
+                write!(f, "quarantined invalid shard {shard}: {why}")
+            }
+            WorkEvent::Waiting { remaining } => write!(f, "waiting ({remaining} shards held)"),
+        }
+    }
+}
+
+/// The five lease counters as `claims=… renewals=… breaks=… reclaims=…
+/// quarantines=…`, the tail of every worker and `serve` summary line.
+pub(crate) fn lease_counters(c: &ObsCounters) -> String {
+    format!(
+        "claims={} renewals={} breaks={} reclaims={} quarantines={}",
+        c.lease_claims, c.lease_renewals, c.lease_breaks, c.lease_reclaims, c.shard_quarantines
+    )
+}
+
+/// What one worker invocation did — the `sweep work` summary line.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WorkSummary {
     /// Shards in the plan.
@@ -508,18 +547,12 @@ impl WorkSummary {
     /// One telemetry line, e.g. `16 shards: 9 committed here, 7 loaded;
     /// leases: claims=9 renewals=3 breaks=1 reclaims=1 quarantines=0`.
     pub fn render(&self) -> String {
-        let c = &self.counters;
         format!(
-            "{} shards: {} committed here, {} loaded; leases: claims={} renewals={} \
-             breaks={} reclaims={} quarantines={}",
+            "{} shards: {} committed here, {} loaded; leases: {}",
             self.shards,
             self.committed,
             self.loaded,
-            c.lease_claims,
-            c.lease_renewals,
-            c.lease_breaks,
-            c.lease_reclaims,
-            c.shard_quarantines
+            lease_counters(&self.counters)
         )
     }
 }

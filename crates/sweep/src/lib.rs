@@ -44,7 +44,6 @@ mod lease;
 pub mod perf;
 mod record;
 mod scenario;
-#[cfg(unix)]
 mod serve;
 mod shard;
 
@@ -64,11 +63,7 @@ pub use lease::{
 };
 pub use record::{ScenarioResult, REPORT_SCHEMA_VERSION};
 pub use scenario::{basic_from_tag, basic_tag, run_scenario_with, Payload, Scenario};
-#[cfg(unix)]
-pub use serve::{
-    done_line, event_line, hello_line, serve_campaign, ServeOptions, ServeSummary, WorkerReport,
-    SERVE_SOCK,
-};
+pub use serve::{serve_campaign, ServeOptions, ServeSummary, WorkerReport};
 pub use shard::{
     decode_shard, encode_shard, fnv1a64, shard_file_name, ShardHeader, ShardPlan, SHARD_MAGIC,
 };

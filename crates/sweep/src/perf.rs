@@ -7,14 +7,14 @@
 
 use std::fmt;
 
-use prefender_attacks::DefenseConfig;
-use prefender_core::{Prefender, PrefenderStats};
+use prefender_attacks::{prefender_protected, DefenseConfig};
+use prefender_core::PrefenderStats;
 use prefender_cpu::Machine;
 use prefender_prefetch::Prefetcher;
 use prefender_sim::{CacheStats, HierarchyConfig};
 use prefender_workloads::Workload;
 
-pub use prefender_attacks::Basic;
+pub use prefender_attacks::{prefender_stats, Basic};
 
 /// Which PREFENDER flavour a column uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -106,11 +106,11 @@ pub fn run_perf(workload: &Workload, column: PerfColumn, sample_every: Option<u6
             let mut next = bucket;
             while m.step() {
                 if m.now().raw() >= next {
-                    protected_series.push((m.now().raw(), protected_count(&m)));
+                    protected_series.push((m.now().raw(), prefender_protected(&m, 0) as u64));
                     next += bucket;
                 }
             }
-            protected_series.push((m.now().raw(), protected_count(&m)));
+            protected_series.push((m.now().raw(), prefender_protected(&m, 0) as u64));
         }
     }
 
@@ -121,19 +121,6 @@ pub fn run_perf(workload: &Workload, column: PerfColumn, sample_every: Option<u6
         prefender: prefender_stats(&m, 0),
         protected_series,
     }
-}
-
-/// Reads PREFENDER per-unit stats from a machine core (downcast through
-/// the `Prefetcher::as_any` hook).
-pub fn prefender_stats(m: &Machine, core: usize) -> Option<PrefenderStats> {
-    m.prefetcher(core)?.as_any()?.downcast_ref::<Prefender>().map(|p| p.stats())
-}
-
-fn protected_count(m: &Machine) -> u64 {
-    m.prefetcher(0)
-        .and_then(|p| p.as_any())
-        .and_then(|a| a.downcast_ref::<Prefender>())
-        .map_or(0, |p| p.protected_count() as u64)
 }
 
 impl fmt::Display for PerfColumn {

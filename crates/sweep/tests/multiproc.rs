@@ -249,9 +249,9 @@ fn fault_free_serve_accounts_for_every_shard() {
     fs::remove_dir_all(&camp).unwrap();
 }
 
-/// A supervised worker sends its events to `serve` and prints none
-/// itself, so every commit shows on stderr exactly once — and not at
-/// all under `serve --quiet`.
+/// A supervised worker prints its events on its own stderr, which only
+/// `serve` reads: every commit shows exactly once, as a `worker K:`
+/// line — and not at all under `serve --quiet`.
 #[test]
 fn serve_prints_each_commit_once() {
     for quiet in [false, true] {
@@ -269,21 +269,22 @@ fn serve_prints_each_commit_once() {
             let shard = format!("committed shard {k} (");
             assert_eq!(commits.iter().filter(|l| l.contains(&shard)).count(), 1, "{log}");
         }
+        for line in &commits {
+            assert!(
+                ["sweep: serve: worker 0: ", "sweep: serve: worker 1: "]
+                    .iter()
+                    .any(|w| line.starts_with(w)),
+                "a commit line not forwarded from a worker: {line}\n{log}"
+            );
+        }
         fs::remove_dir_all(&camp).unwrap();
     }
 }
 
-/// Two fault-free `sweep work` processes racing on one half-finished
-/// campaign: both must exit cleanly and write identical artifacts.
-#[test]
-fn concurrent_work_processes_finish_an_aborted_campaign() {
-    let clean = scratch("work-clean");
-    let camp = scratch("work-camp");
-    let (json, csv) = reference(&clean, "2");
-
-    // Abort a sharded run after its first commit so the campaign exists
-    // on disk with 1 of 8 shards done — built by the same CLI grid
-    // parsing the reference used.
+/// Aborts a sharded run after its first commit, so the campaign exists
+/// in `camp` with 1 of 8 shards done — built by the same CLI grid
+/// parsing the reference uses.
+fn aborted_campaign(camp: &Path) {
     let status = Command::new(SWEEP)
         .args(GRID)
         .args(["--threads", "1", "--shard-size", "2", "--out", camp.to_str().unwrap(), "--quiet"])
@@ -293,7 +294,17 @@ fn concurrent_work_processes_finish_an_aborted_campaign() {
         .status()
         .expect("spawn sharded sweep");
     assert!(!status.success(), "the kill failpoint must take the process down");
-    assert_eq!(shard_files(&camp).len(), 1, "one shard committed before the abort");
+    assert_eq!(shard_files(camp).len(), 1, "one shard committed before the abort");
+}
+
+/// Two fault-free `sweep work` processes racing on one half-finished
+/// campaign: both must exit cleanly and write identical artifacts.
+#[test]
+fn concurrent_work_processes_finish_an_aborted_campaign() {
+    let clean = scratch("work-clean");
+    let camp = scratch("work-camp");
+    let (json, csv) = reference(&clean, "2");
+    aborted_campaign(&camp);
 
     let spawn_worker = || {
         Command::new(SWEEP)
@@ -315,6 +326,30 @@ fn concurrent_work_processes_finish_an_aborted_campaign() {
     assert!(log_b.contains("sweep: work: 8 shards:"), "{log_b}");
 
     assert_artifacts_equal(&camp, &json, &csv, "two concurrent workers");
+
+    fs::remove_dir_all(&clean).unwrap();
+    fs::remove_dir_all(&camp).unwrap();
+}
+
+/// A worker whose stderr reader is gone — a supervisor that died —
+/// still finishes the campaign: a failed stderr write is not fatal.
+#[test]
+fn a_worker_outlives_its_closed_stderr() {
+    let clean = scratch("closed-clean");
+    let camp = scratch("closed-camp");
+    let (json, csv) = reference(&clean, "1");
+    aborted_campaign(&camp);
+
+    let mut worker = Command::new(SWEEP)
+        .args(["work", camp.to_str().unwrap()])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn sweep work");
+    drop(worker.stderr.take());
+    let status = wait_with_deadline(&mut worker, 240, "sweep work");
+    assert!(status.success(), "a closed stderr must not stop the worker: {status}");
+    assert_artifacts_equal(&camp, &json, &csv, "a worker with a closed stderr");
 
     fs::remove_dir_all(&clean).unwrap();
     fs::remove_dir_all(&camp).unwrap();
