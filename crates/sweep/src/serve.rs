@@ -356,7 +356,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn worker_lines_classify_by_kind_shard_and_counters() {
+    fn protocol_lines_round_trip() {
         let events = [
             (WorkEvent::Claimed { shard: 7 }, Heard::Claimed(7)),
             (WorkEvent::Committed { shard: 7, done: 8, total: 16 }, Heard::Committed(7)),
@@ -372,6 +372,10 @@ mod tests {
             assert_eq!(Heard::of(&line), expected, "{line}");
             assert_eq!(expected.important(), event.is_fault(), "{line}");
         }
+    }
+
+    #[test]
+    fn done_lines_carry_the_counters() {
         let counters = ObsCounters {
             lease_claims: 10,
             lease_renewals: 3,
@@ -384,14 +388,21 @@ mod tests {
         let line = format!("sweep: work: {}", done.render());
         assert_eq!(Heard::of(&line), Heard::Summary(counters), "{line}");
         assert!(!Heard::Summary(counters).important());
-        // A panic, an error or a torn summary is printed, never dropped.
-        for other in [
+    }
+
+    /// Junk is not counted and not fatal: a panic, an error or a torn
+    /// summary comes back as `Other`, which is printed, never dropped.
+    #[test]
+    fn junk_lines_are_ignored_not_fatal() {
+        for junk in [
+            "",
+            "bogus 1 2",
             "thread 'main' panicked at crates/sweep/src/lease.rs:1:1:",
             "sweep: work: campaign directory has no manifest",
             "sweep: work: 16 shards: 9 committed here, 7 loaded; leases: claims=10 renewals=",
             "sweep: work: committed shard x (1/2)",
         ] {
-            assert_eq!(Heard::of(other), Heard::Other, "{other}");
+            assert_eq!(Heard::of(junk), Heard::Other, "{junk:?}");
             assert!(Heard::Other.important());
         }
     }
