@@ -3,15 +3,13 @@
 use std::error::Error;
 use std::fmt;
 
-use rand::seq::SliceRandom;
-use rand::{Rng as _, SeedableRng};
-
 use prefender_core::{Prefender, PrefenderStats};
 use prefender_cpu::Machine;
 use prefender_isa::ProgramBuilder;
 use prefender_obs::{take_thread_trace, trace_armed, ObsCounters, TraceBuf};
 use prefender_prefetch::{Prefetcher, StridePrefetcher, TaggedPrefetcher};
 use prefender_sim::{Addr, CacheStats, ConfigError, HierarchyConfig};
+use prefender_stats::Xoshiro256;
 
 use crate::analysis::{classify, AttackOutcome, ProbeSample};
 use crate::layout::AttackLayout;
@@ -262,7 +260,8 @@ pub struct AttackSpec {
     /// Measurement-noise amplitude: every probe latency the attacker
     /// records is perturbed by a deterministic per-trial jitter drawn
     /// uniformly from `0..=latency_jitter` cycles (seeded from `seed`).
-    /// `0` models a perfectly clean timer, the paper's setting.
+    /// `0` models a perfectly clean timer, the paper's setting. Must be
+    /// below `u64::MAX`; `sweep` caps it at `u32::MAX`.
     pub latency_jitter: u64,
 }
 
@@ -774,8 +773,7 @@ fn build_machine(key: &MachineKey) -> Result<Machine, AttackError> {
 fn build_reload_targets(spec: &AttackSpec) -> Vec<Addr> {
     let l = &spec.layout;
     let mut evictions: Vec<Addr> = l.indices().map(|i| l.index_addr(i)).collect();
-    let mut rng = rand::rngs::StdRng::seed_from_u64(spec.seed);
-    evictions.shuffle(&mut rng);
+    Xoshiro256::new(spec.seed).shuffle(&mut evictions);
     if !spec.noise.c4 {
         return evictions;
     }
@@ -928,9 +926,9 @@ fn apply_latency_jitter(spec: &AttackSpec, samples: &mut [ProbeSample]) {
     if spec.latency_jitter == 0 {
         return;
     }
-    let mut rng = rand::rngs::StdRng::seed_from_u64(spec.seed ^ 0x6A77_6974_7465_7221);
+    let mut rng = Xoshiro256::new(spec.seed ^ 0x6A77_6974_7465_7221);
     for s in samples {
-        s.latency += rng.gen_range(0..=spec.latency_jitter);
+        s.latency += rng.below(spec.latency_jitter + 1);
     }
 }
 

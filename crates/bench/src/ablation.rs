@@ -4,7 +4,7 @@ use prefender_attacks::{flush_program, reload_probe_program, victim_program, Att
 use prefender_core::{AtConfig, Prefender, RpConfig};
 use prefender_cpu::{CpuConfig, Machine};
 use prefender_sim::{CacheConfig, HierarchyConfig, ReplacementPolicy};
-use prefender_stats::{speedup_pct, Table};
+use prefender_stats::{speedup_pct, Table, Xoshiro256};
 use prefender_sweep::{parallel_map, parallel_map_2d};
 use prefender_workloads::spec2006;
 
@@ -30,9 +30,7 @@ pub fn custom_flush_reload(build: impl Fn() -> Prefender, c3_noise: bool) -> (Ve
     m.write_data(l.secret_addr, l.secret as u64);
     // Deterministically shuffled probe order (same scheme as the runner).
     let mut targets: Vec<u64> = l.indices().map(|i| l.index_addr(i).raw()).collect();
-    use rand::seq::SliceRandom;
-    use rand::SeedableRng;
-    targets.shuffle(&mut rand::rngs::StdRng::seed_from_u64(0xC0FFEE));
+    Xoshiro256::new(0xC0FFEE).shuffle(&mut targets);
     for (k, t) in targets.iter().enumerate() {
         m.write_data(l.order_table + 8 * k as u64, *t);
     }

@@ -137,7 +137,7 @@ mod tests {
         assert_eq!(cols[0].label(), "Prefender/16");
     }
 
-    // Full-table runs live in tests/experiments.rs (they take seconds);
+    // The full tables run in CI's `repro all` step (they take seconds);
     // here we spot-check a two-benchmark slice.
     #[test]
     fn slice_of_table4_has_positive_streaming_speedups() {

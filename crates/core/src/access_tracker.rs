@@ -807,22 +807,14 @@ mod tests {
         // the minimum), and sequences run far past capacity so LRU
         // evictions — including evictions of min-pair participants —
         // happen continuously.
-        let mut state = 0x1234_5678_9ABC_DEF0u64;
-        let mut rng = move || {
-            // SplitMix64: deterministic, no external dependency.
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
+        let mut rng = prefender_stats::SplitMix64::new(0x1234_5678_9ABC_DEF0);
         for round in 0..64 {
             let mut t = at(1);
             // Narrow alphabets force duplicates and ties; wide ones
             // exercise the generic path.
             let span = [5, 9, 17, 64][round % 4];
             for k in 0..200u64 {
-                let blk = 0x10_0000 + (rng() % span) * 0x40;
+                let blk = 0x10_0000 + (rng.next_u64() % span) * 0x40;
                 let d = probe(&mut t, 0x8008, blk, k);
                 let buf = t.buffer(d.buffer.unwrap());
                 assert_eq!(

@@ -15,7 +15,7 @@
 //!     halt
 //! ```
 
-use std::collections::HashMap;
+use std::collections::HashMap; // lint: ordered — labels are inserted and looked up only
 use std::error::Error;
 use std::fmt;
 
@@ -96,7 +96,7 @@ fn is_label_def(tok: &str) -> bool {
 /// Assembles `src` into a [`Program`].
 pub fn parse(src: &str) -> Result<Program, ParseError> {
     // Pass 1: label positions.
-    let mut labels: HashMap<String, usize> = HashMap::new();
+    let mut labels: HashMap<String, usize> = HashMap::new(); // lint: ordered
     let mut idx = 0usize;
     for (ln, raw) in src.lines().enumerate() {
         let mut rest = strip_comment(raw).trim();
@@ -144,7 +144,7 @@ pub fn parse(src: &str) -> Result<Program, ParseError> {
 fn parse_instr(
     text: &str,
     line: usize,
-    labels: &HashMap<String, usize>,
+    labels: &HashMap<String, usize>, // lint: ordered
 ) -> Result<Instr, ParseError> {
     let (mnemonic, ops_text) = match text.find(char::is_whitespace) {
         Some(i) => (&text[..i], text[i..].trim()),

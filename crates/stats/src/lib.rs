@@ -10,6 +10,8 @@
 //!   [`quantile`] / [`p_value_ge`] — deterministic resampling: seeded
 //!   permutation nulls and bootstrap draws for the statistical-rigor
 //!   layer of the leakage lab;
+//! * [`Xoshiro256`] — the workspace's one general-purpose generator:
+//!   attack probe orders, workload data and property-test cases;
 //! * [`Table`] — aligned plain-text tables matching the paper's layout;
 //! * [`Series`] — named `(x, y)` sequences with CSV export, for figures.
 //!
@@ -28,7 +30,9 @@ mod summary;
 mod table;
 
 pub use dist::{entropy_bits, Histogram};
-pub use resample::{derive_seed, mix64, multinomial, p_value_ge, quantile, shuffle, SplitMix64};
+pub use resample::{
+    derive_seed, mix64, multinomial, p_value_ge, quantile, shuffle, SplitMix64, Xoshiro256,
+};
 pub use series::Series;
 pub use summary::{geo_mean, speedup_pct, Summary};
 pub use table::Table;

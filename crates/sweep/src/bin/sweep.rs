@@ -394,6 +394,9 @@ fn args_from(given: &Given) -> Result<Args, String> {
             return Err("--trials must be at least 1".to_string());
         }
     }
+    if grid.leakage_jitter > u32::MAX.into() {
+        return Err(format!("--jitter must be 0..={}, got {}", u32::MAX, grid.leakage_jitter));
+    }
     // Resampling knobs only make sense when a leakage campaign runs, and
     // alpha must be a usable significance level.
     grid.resample().validate().map_err(|e| format!("--alpha: {e}"))?;
@@ -852,6 +855,14 @@ mod tests {
         let err = parse("--shard-size nope").unwrap_err();
         assert!(err.contains("invalid --shard-size"), "{err}");
         assert_eq!(parse("--shard-size 16").expect("valid").shard_size, Some(16));
+    }
+
+    #[test]
+    fn jitter_is_capped_at_u32_max() {
+        let max = "--attacks none --leakage fr --jitter 4294967295";
+        assert_eq!(parse(max).expect("valid").grid.leakage_jitter, u64::from(u32::MAX));
+        let err = parse("--attacks none --leakage fr --jitter 18446744073709551615").unwrap_err();
+        assert!(err.contains("--jitter must be 0..=4294967295"), "{err}");
     }
 
     #[test]

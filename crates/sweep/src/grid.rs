@@ -284,7 +284,7 @@ pub struct SweepGrid {
     /// Trials per secret in a leakage campaign.
     pub leakage_trials: u32,
     /// Attacker timer-noise amplitude for leakage campaigns, in cycles
-    /// per probe (0 = the paper's clean timer).
+    /// per probe (0 = the paper's clean timer; at most `u32::MAX`).
     pub leakage_jitter: u64,
     /// Label permutations per leakage campaign for the MI null test
     /// (0 = no permutation test; see `prefender_leakage::NullTest`).
@@ -491,6 +491,10 @@ impl SweepGrid {
                 return Err(format!("unknown workload `{w}`"));
             }
         }
+        let jitter = num("jitter")?;
+        if jitter > u32::MAX.into() {
+            return Err(format!("jitter {jitter} is above {} cycles per probe", u32::MAX));
+        }
         let alpha_bits = u64::from_str_radix(get("alpha")?, 16)
             .map_err(|_| format!("bad alpha bits `{}`", get("alpha").unwrap()))?;
         let grid = SweepGrid {
@@ -499,7 +503,7 @@ impl SweepGrid {
             leakages: cases("leakages")?,
             leakage_secrets: num("secrets")? as u32,
             leakage_trials: num("trials")? as u32,
-            leakage_jitter: num("jitter")?,
+            leakage_jitter: jitter,
             leakage_permutations: num("permutations")? as u32,
             leakage_bootstrap: num("bootstrap")? as u32,
             leakage_alpha: f64::from_bits(alpha_bits),
@@ -696,6 +700,16 @@ mod tests {
         ] {
             assert!(SweepGrid::from_spec(&bad).is_err(), "`{bad}` must be rejected");
         }
+    }
+
+    #[test]
+    fn grid_spec_caps_jitter_at_u32_max() {
+        let mut g = SweepGrid::leakage_full();
+        g.leakage_jitter = u32::MAX.into();
+        assert_eq!(SweepGrid::from_spec(&g.to_spec()).expect("u32::MAX parses"), g);
+        g.leakage_jitter += 1;
+        let err = SweepGrid::from_spec(&g.to_spec()).unwrap_err();
+        assert!(err.contains("jitter 4294967296"), "{err}");
     }
 
     #[test]

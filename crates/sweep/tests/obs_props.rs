@@ -10,6 +10,7 @@
 use proptest::prelude::*;
 
 use prefender_obs::{arm_trace, disarm_trace, DEFAULT_TRACE_CAPACITY};
+use prefender_stats::SplitMix64;
 use prefender_sweep::{
     run_sweep, run_sweep_observed, AttackCase, AttackKind, Basic, DefenseConfig, DefensePoint,
     Hierarchy, NoiseSpec, SweepGrid, SweepOptions,
@@ -17,19 +18,11 @@ use prefender_sweep::{
 
 /// A deterministic picker over a seed (SplitMix64 stream) so a single
 /// `u64` strategy drives every grid-shaping choice.
-struct Picker(u64);
+struct Picker(SplitMix64);
 
 impl Picker {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
     fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
+        self.0.next_u64() % n
     }
 
     fn pick<T: Copy>(&mut self, options: &[T]) -> T {
@@ -41,7 +34,7 @@ impl Picker {
 /// workload, an optional leakage campaign) and every machine-shaping
 /// axis, kept small enough to run at three thread counts per case.
 fn random_grid(seed: u64) -> SweepGrid {
-    let mut p = Picker(seed);
+    let mut p = Picker(SplitMix64::new(seed));
     let kinds = [AttackKind::FlushReload, AttackKind::EvictReload, AttackKind::PrimeProbe];
     let noises = [NoiseSpec::NONE, NoiseSpec::C3, NoiseSpec::C4, NoiseSpec::C3C4];
     let mut g = SweepGrid::empty();

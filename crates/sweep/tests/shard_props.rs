@@ -13,6 +13,7 @@ use std::path::PathBuf;
 
 use proptest::prelude::*;
 
+use prefender_stats::SplitMix64;
 use prefender_sweep::{
     resume_sharded, run_sharded, shard_file_name, AttackCase, AttackKind, Basic, DefenseConfig,
     DefensePoint, Hierarchy, NoiseSpec, ShardPlan, SweepGrid, SweepOptions, SHARD_DIR,
@@ -20,19 +21,11 @@ use prefender_sweep::{
 
 /// A deterministic picker over a seed (SplitMix64 stream) so a single
 /// `u64` strategy drives every grid-shaping choice.
-struct Picker(u64);
+struct Picker(SplitMix64);
 
 impl Picker {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
     fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
+        self.0.next_u64() % n
     }
 
     fn pick<T: Copy>(&mut self, options: &[T]) -> T {
@@ -44,7 +37,7 @@ impl Picker {
 /// each proptest case runs the grid a handful of times (reference plus
 /// resumes at three thread counts).
 fn random_grid(seed: u64) -> SweepGrid {
-    let mut p = Picker(seed);
+    let mut p = Picker(SplitMix64::new(seed));
     let kinds = [AttackKind::FlushReload, AttackKind::EvictReload, AttackKind::PrimeProbe];
     let noises = [NoiseSpec::NONE, NoiseSpec::C3, NoiseSpec::C4, NoiseSpec::C3C4];
     let mut g = SweepGrid::empty();
@@ -129,7 +122,7 @@ proptest! {
         prop_assert_eq!(&first.to_json(), &ref_json);
 
         let plan = ShardPlan::new(grid.len(), shard_size);
-        let mut p = Picker(seed ^ 0xD1CE);
+        let mut p = Picker(SplitMix64::new(seed ^ 0xD1CE));
         for threads in [1usize, 2, 8] {
             // Damage: delete each shard with probability 1/2, and
             // truncate the tail of one random survivor.

@@ -1,8 +1,7 @@
 //! Kernel building blocks: one memory idiom each.
 
 use prefender_isa::{ProgramBuilder, Reg};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use prefender_stats::Xoshiro256;
 
 /// One phase of a synthetic workload.
 ///
@@ -299,18 +298,16 @@ impl Kernel {
                 // Nodes live at `nodes` *distinct uniformly random* line
                 // slots of the span (a partial Fisher-Yates draw — a
                 // strided grid would alias cache sets and thrash).
-                let mut rng = StdRng::seed_from_u64(seed);
+                let mut rng = Xoshiro256::new(seed);
                 let slots = (span / 64).max(nodes);
                 let mut all: Vec<u64> = (0..slots).collect();
                 for i in 0..nodes as usize {
-                    let j = rng.gen_range(i..all.len());
+                    let j = i + rng.below((all.len() - i) as u64) as usize;
                     all.swap(i, j);
                 }
                 let mut pos: Vec<u64> = all[..nodes as usize].to_vec();
                 let mut order: Vec<u64> = (0..nodes).collect();
-                for i in (1..order.len()).rev() {
-                    order.swap(i, rng.gen_range(0..=i));
-                }
+                rng.shuffle(&mut order);
                 // The chain visits nodes in `order`, closing the cycle;
                 // the first hop starts at `base`, so node order[0]'s slot
                 // is forced to 0.
@@ -334,11 +331,11 @@ impl Kernel {
             Kernel::ScaledGather { idx_base, n, idx_span, seed, .. } => {
                 // Indices random-walk by ±1 so `addr ± scale` (the Scale
                 // Tracker's prediction) is usually the next gather target.
-                let mut rng = StdRng::seed_from_u64(seed);
+                let mut rng = Xoshiro256::new(seed);
                 let mut idx: i64 = (idx_span / 2) as i64;
                 (0..n)
                     .map(|i| {
-                        let step: i64 = if rng.gen_bool(0.5) { 1 } else { -1 };
+                        let step: i64 = if rng.next_u64() < 1 << 63 { 1 } else { -1 };
                         idx = (idx + step).clamp(1, idx_span as i64 - 2);
                         (idx_base + i * 8, idx as u64)
                     })

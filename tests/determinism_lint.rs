@@ -1,12 +1,13 @@
-//! Source lint: no unordered-collection iteration in artifact crates.
+//! Source lint: no unordered-collection iteration in any crate.
 //!
 //! Every artifact this repo emits (sweep JSON/CSV, leakage maps,
 //! forensics.json, AUDIT.json, telemetry) is contractually byte-identical
 //! across runs and thread counts. The classic way that contract rots is a
 //! `HashMap`/`HashSet` whose iteration order silently reaches an
-//! artifact. This lint scans the sources of the artifact-producing crates
-//! and fails on any line mentioning `HashMap` or `HashSet` that does not
-//! carry an explicit `// lint: ordered` waiver.
+//! artifact. This lint scans the sources of every crate under `crates/`
+//! (probe orders, program data and resampling draws reach artifacts from
+//! all of them) and fails on any line mentioning `HashMap` or `HashSet`
+//! that does not carry an explicit `// lint: ordered` waiver.
 //!
 //! A waiver asserts the collection is *never iterated* (pure lookup
 //! tables like `Mix64Map`) or iterated only for membership-style
@@ -16,11 +17,19 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// Crates whose output feeds a deterministic artifact.
-const ARTIFACT_CRATES: &[&str] =
-    &["crates/sim", "crates/sweep", "crates/leakage", "crates/obs", "crates/taint", "crates/bench"];
-
 const WAIVER: &str = "// lint: ordered";
+
+/// The `src` directory of every crate under `crates/`, in name order.
+fn crate_sources(root: &Path) -> Vec<PathBuf> {
+    let mut dirs: Vec<PathBuf> = fs::read_dir(root.join("crates"))
+        .expect("crates/ is readable")
+        .map(|e| e.expect("crates/ entry").path())
+        .filter(|p| p.is_dir())
+        .map(|p| p.join("src"))
+        .collect();
+    dirs.sort();
+    dirs
+}
 
 fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
     let entries = match fs::read_dir(dir) {
@@ -43,12 +52,10 @@ fn artifact_crates_do_not_iterate_unordered_collections() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut violations = Vec::new();
     let mut scanned = 0usize;
-    for krate in ARTIFACT_CRATES {
-        let src = root.join(krate).join("src");
-        assert!(src.is_dir(), "missing {krate}/src — crate moved? update the lint");
+    for src in crate_sources(root) {
         let mut files = Vec::new();
         rust_sources(&src, &mut files);
-        assert!(!files.is_empty(), "no sources under {krate}/src");
+        assert!(!files.is_empty(), "no sources under {}", src.display());
         for file in files {
             let text = fs::read_to_string(&file).expect("readable source");
             scanned += 1;
@@ -83,8 +90,8 @@ fn lint_covers_the_crash_safety_modules() {
     // move keeps them inside the lint's scan set.
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut files = Vec::new();
-    for krate in ARTIFACT_CRATES {
-        rust_sources(&root.join(krate).join("src"), &mut files);
+    for src in crate_sources(root) {
+        rust_sources(&src, &mut files);
     }
     for required in [
         "crates/sweep/src/record.rs",
@@ -98,7 +105,7 @@ fn lint_covers_the_crash_safety_modules() {
         assert!(
             files.iter().any(|f| f.ends_with(required)),
             "{required} is no longer scanned by the determinism lint — \
-             moved crates must stay in ARTIFACT_CRATES"
+             moved crates must stay under crates/"
         );
     }
 }
@@ -109,9 +116,9 @@ fn waivers_are_not_stale() {
     // HashMap-free line is leftover noise from a refactor.
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut stale = Vec::new();
-    for krate in ARTIFACT_CRATES {
+    for src in crate_sources(root) {
         let mut files = Vec::new();
-        rust_sources(&root.join(krate).join("src"), &mut files);
+        rust_sources(&src, &mut files);
         for file in files {
             let text = fs::read_to_string(&file).expect("readable source");
             for (i, line) in text.lines().enumerate() {
