@@ -23,7 +23,7 @@ use prefender_obs::{write_atomic, HostInfo, ProgressReporter, Value};
 use prefender_sweep::{
     basic_from_tag, basic_tag, resume_sharded, run_sharded, run_sweep_observed, AttackCase,
     AttackKind, Basic, DefenseConfig, DefensePoint, Hierarchy, NoiseSpec, SweepGrid, SweepOptions,
-    SweepReport,
+    SweepReport, WorkSummary,
 };
 use Class::{Exec, Grid, Output, Stream};
 
@@ -442,6 +442,15 @@ fn write_report_artifacts(out: &Path, report: &SweepReport) -> Result<String, St
     Ok(format!("wrote {}", wrote.join(", ")))
 }
 
+/// The closing line of `--shard-size` and `--resume`, e.g. `9 shards: 2
+/// skipped (complete), 1 quarantined, 7 executed`.
+fn shard_line(s: &WorkSummary) -> String {
+    format!(
+        "{} shards: {} skipped (complete), {} quarantined, {} executed",
+        s.shards, s.loaded, s.counters.shard_quarantines, s.committed
+    )
+}
+
 /// Validates the output directory *before* running anything: hours of
 /// compute should not be lost to an unwritable `--out` discovered at
 /// artifact time.
@@ -549,17 +558,17 @@ fn sweep(mut args: Args) -> Result<(), String> {
         // The manifest carries the grid and seed; the command line only
         // chose the directory. Rebind args so reporting below sees the
         // campaign's real shape.
-        let (report, manifest, stats) =
+        let (report, manifest, summary) =
             resume_sharded(&dir, args.threads).map_err(|e| e.to_string())?;
-        eprintln!("sweep: resume: {}", stats.render());
+        eprintln!("sweep: resume: {}", shard_line(&summary));
         args.grid = manifest.grid;
         args.campaign_seed = manifest.campaign_seed;
         args.out = dir;
         (report, None)
     } else if let Some(size) = args.shard_size {
-        let (report, stats) =
+        let (report, summary) =
             run_sharded(&args.out, &args.grid, &opts, size).map_err(|e| e.to_string())?;
-        eprintln!("sweep: shards: {}", stats.render());
+        eprintln!("sweep: shards: {}", shard_line(&summary));
         (report, None)
     } else {
         // `run_sweep` is `run_sweep_observed` minus the extras, so running

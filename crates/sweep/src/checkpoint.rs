@@ -1,12 +1,13 @@
-//! Checkpointed campaigns: the crash-safe execution loop over a shard
-//! plan, and the manifest that makes a campaign directory self-describing.
+//! Checkpointed campaigns: the crash-safe shard loop every campaign mode
+//! runs, and the manifest that makes a campaign directory self-describing.
 //!
 //! ## Layout of a campaign directory
 //!
 //! ```text
 //! <dir>/campaign.manifest      identity: grid spec, seed, shard size
 //! <dir>/shards/shard-*.psd     one checksummed artifact per shard
-//! <dir>/quarantine/            shards that failed validation on resume
+//! <dir>/quarantine/            shards that failed validation
+//! <dir>/leases/                shard leases, multi-process modes only
 //! <dir>/sweep.json, sweep.csv  final artifacts, plus leakage.json and
 //!                              leakage.csv when present (written by the CLI)
 //! ```
@@ -15,11 +16,12 @@
 //! shards **in shard order**, committing each through the
 //! write-tmp → fsync → rename protocol — so at any kill point the
 //! directory holds the manifest plus a prefix-closed set of complete,
-//! checksummed shards. [`resume_sharded`] reloads the manifest,
-//! validates every shard file against it (complete → loaded and
-//! skipped; truncated/corrupt/foreign → moved to `quarantine/` and
-//! re-run), executes what is missing, and merges everything in scenario
-//! index order.
+//! checksummed shards. [`resume_sharded`] reloads the manifest and runs
+//! the same loop: a shard file that validates against the manifest is
+//! loaded and skipped, a truncated/corrupt/foreign one is moved to
+//! `quarantine/` and re-run, a missing one is run, and the merge
+//! re-validates every shard in scenario index order. `sweep work` runs
+//! that loop too, under a lease per shard ([`crate::lease`]).
 //!
 //! ## Why resume-equality is exact
 //!
@@ -37,22 +39,21 @@
 use std::fmt;
 use std::fs;
 use std::io;
-use std::ops::Range;
 use std::path::{Path, PathBuf};
+use std::thread;
+use std::time::Duration;
 
-use prefender_obs::{
-    atomic_tmp_pid, failpoint, is_atomic_tmp, pid_alive, write_atomic, ObsCounters,
-};
-
-use prefender_attacks::Runner;
-use prefender_leakage::ResampleOptions;
+use prefender_obs::{atomic_tmp_pid, failpoint, is_atomic_tmp, pid_alive, write_atomic};
 
 use crate::artifact::SweepReport;
 use crate::engine::{run_config_major, runner_slots, SweepOptions};
 use crate::grid::SweepGrid;
+use crate::lease::{claim_shard, Claim, LeaseConfig, WorkEvent, WorkSummary};
 use crate::record::{ScenarioResult, REPORT_SCHEMA_VERSION};
-use crate::scenario::{run_on, Scenario};
-use crate::shard::{decode_shard, encode_shard, fnv1a64, shard_file_name, ShardHeader, ShardPlan};
+use crate::scenario::run_on;
+use crate::shard::{
+    decode_shard, encode_shard, seal, shard_file_name, unseal, ShardHeader, ShardPlan,
+};
 
 /// Manifest file name inside a campaign directory.
 pub const MANIFEST_NAME: &str = "campaign.manifest";
@@ -60,10 +61,12 @@ pub const MANIFEST_NAME: &str = "campaign.manifest";
 /// Subdirectory holding committed shard artifacts.
 pub const SHARD_DIR: &str = "shards";
 
-/// Subdirectory where invalid shards are moved on resume.
+/// Subdirectory where the shard loop moves invalid shard files.
 pub const QUARANTINE_DIR: &str = "quarantine";
 
 const MANIFEST_MAGIC: &str = "PREFENDER-CAMPAIGN v1";
+
+const MANIFEST_KEYS: [&str; 5] = ["schema", "seed", "scenarios", "shard_size", "grid"];
 
 /// What went wrong starting or resuming a campaign.
 #[derive(Debug)]
@@ -132,20 +135,19 @@ pub struct Manifest {
 }
 
 impl Manifest {
+    /// The manifest's [`seal`]ed text and its check.
+    fn sealed(&self) -> (String, u64) {
+        let (scenarios, spec) = (self.grid.len(), self.grid.to_spec());
+        let values: [&dyn fmt::Display; 5] =
+            [&REPORT_SCHEMA_VERSION, &self.campaign_seed, &scenarios, &self.shard_size, &spec];
+        seal(MANIFEST_MAGIC, MANIFEST_KEYS, values)
+    }
+
     /// The manifest's serialized form: line-oriented `key=value` with a
     /// trailing self-checksum, so a torn or hand-edited manifest is
     /// detected rather than trusted.
     pub fn encode(&self) -> String {
-        let mut out = format!(
-            "{MANIFEST_MAGIC}\nschema={REPORT_SCHEMA_VERSION}\nseed={}\nscenarios={}\n\
-             shard_size={}\ngrid={}\n",
-            self.campaign_seed,
-            self.grid.len(),
-            self.shard_size,
-            self.grid.to_spec(),
-        );
-        out.push_str(&format!("check={:016x}\n", fnv1a64(out.as_bytes())));
-        out
+        self.sealed().0
     }
 
     /// Parses and validates [`Manifest::encode`]'s form.
@@ -156,45 +158,22 @@ impl Manifest {
     /// wrong magic, an incompatible schema version, an unparsable grid
     /// spec, or a scenario count that no longer matches the grid.
     pub fn decode(text: &str) -> Result<Manifest, String> {
-        let body_len =
-            text.rfind("\ncheck=").map(|p| p + 1).ok_or("no checksum line (truncated?)")?;
-        let (body, check_line) = text.split_at(body_len);
-        let declared = check_line
-            .strip_prefix("check=")
-            .and_then(|s| u64::from_str_radix(s.trim_end(), 16).ok())
-            .ok_or("bad checksum line")?;
-        let actual = fnv1a64(body.as_bytes());
-        if actual != declared {
-            return Err(format!("checksum mismatch ({actual:016x} != {declared:016x})"));
-        }
-        let mut lines = body.lines();
-        if lines.next() != Some(MANIFEST_MAGIC) {
-            return Err("bad magic".into());
-        }
-        let mut field = |key: &str| -> Result<String, String> {
-            lines
-                .next()
-                .and_then(|l| l.strip_prefix(key))
-                .and_then(|l| l.strip_prefix('='))
-                .map(String::from)
-                .ok_or_else(|| format!("missing `{key}` line"))
-        };
-        let schema: u32 = field("schema")?.parse().map_err(|_| "bad schema".to_string())?;
+        let [schema, seed, scenarios, shard_size, grid] =
+            unseal(text, MANIFEST_MAGIC, MANIFEST_KEYS)?;
+        let schema: u32 = schema.parse().map_err(|_| "bad schema".to_string())?;
         if schema != REPORT_SCHEMA_VERSION {
             return Err(format!(
                 "written at schema v{schema}, this build runs v{REPORT_SCHEMA_VERSION} — \
                  finish the campaign with the original binary"
             ));
         }
-        let campaign_seed = field("seed")?.parse().map_err(|_| "bad seed".to_string())?;
-        let scenarios: usize =
-            field("scenarios")?.parse().map_err(|_| "bad scenarios".to_string())?;
-        let shard_size: usize =
-            field("shard_size")?.parse().map_err(|_| "bad shard_size".to_string())?;
+        let campaign_seed = seed.parse().map_err(|_| "bad seed".to_string())?;
+        let scenarios: usize = scenarios.parse().map_err(|_| "bad scenarios".to_string())?;
+        let shard_size: usize = shard_size.parse().map_err(|_| "bad shard_size".to_string())?;
         if shard_size == 0 {
             return Err("shard_size must be at least 1".into());
         }
-        let grid = SweepGrid::from_spec(&field("grid")?)?;
+        let grid = SweepGrid::from_spec(grid)?;
         if grid.len() != scenarios {
             return Err(format!(
                 "grid enumerates {} scenarios, manifest recorded {scenarios}",
@@ -208,47 +187,12 @@ impl Manifest {
     /// checksum of the manifest body (grid spec + seed + schema), i.e.
     /// the same value as the manifest's own `check` line.
     pub fn fingerprint(&self) -> u64 {
-        let encoded = self.encode();
-        let body_len = encoded.rfind("\ncheck=").expect("encode always appends a check line") + 1;
-        fnv1a64(&encoded.as_bytes()[..body_len])
+        self.sealed().1
     }
 
     /// The deterministic shard plan this manifest implies.
     pub fn plan(&self) -> ShardPlan {
         ShardPlan::new(self.grid.len(), self.shard_size)
-    }
-}
-
-/// What a (possibly resumed) sharded campaign did per shard — the
-/// resume telemetry the CLI prints and CI greps.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ResumeStats {
-    /// Shards in the plan.
-    pub shards: usize,
-    /// Shards whose existing file validated — loaded, not re-run.
-    pub skipped: usize,
-    /// Shards whose existing file failed validation — moved to
-    /// `quarantine/` and re-run. `(shard index, why)` per incident.
-    pub quarantined: Vec<(usize, String)>,
-    /// Shards executed this invocation.
-    pub executed: usize,
-    /// The campaign-layer event counters of this invocation
-    /// (`shard_quarantines` here; the lease fields stay zero on the
-    /// single-process paths — `work_campaign` is where they move).
-    pub counters: ObsCounters,
-}
-
-impl ResumeStats {
-    /// One telemetry line, e.g.
-    /// `9 shards: 2 skipped (complete), 1 quarantined, 7 executed`.
-    pub fn render(&self) -> String {
-        format!(
-            "{} shards: {} skipped (complete), {} quarantined, {} executed",
-            self.shards,
-            self.skipped,
-            self.quarantined.len(),
-            self.executed
-        )
     }
 }
 
@@ -266,9 +210,9 @@ pub fn run_sharded(
     grid: &SweepGrid,
     opts: &SweepOptions,
     shard_size: usize,
-) -> Result<(SweepReport, ResumeStats), CampaignError> {
+) -> Result<(SweepReport, WorkSummary), CampaignError> {
     let manifest = init_campaign(dir, grid, opts, shard_size)?;
-    execute(dir, &manifest, opts.threads, false)
+    run_campaign(dir, &manifest, opts.threads, None, &mut |_| {})
 }
 
 /// Creates a campaign directory without running anything: writes the
@@ -331,95 +275,169 @@ pub fn load_manifest(dir: &Path) -> Result<Manifest, CampaignError> {
 pub fn resume_sharded(
     dir: &Path,
     threads: usize,
-) -> Result<(SweepReport, Manifest, ResumeStats), CampaignError> {
+) -> Result<(SweepReport, Manifest, WorkSummary), CampaignError> {
     let manifest = load_manifest(dir)?;
-    fs::create_dir_all(dir.join(SHARD_DIR)).map_err(io_err(dir))?;
-    let (report, stats) = execute(dir, &manifest, threads, true)?;
-    Ok((report, manifest, stats))
+    let (report, summary) = run_campaign(dir, &manifest, threads, None, &mut |_| {})?;
+    Ok((report, manifest, summary))
 }
 
-/// The shared execution loop: walk the plan in shard order, reuse what
-/// validates (resume mode), re-run the rest, merge in index order.
-fn execute(
+fn load_shard(path: &Path, header: &ShardHeader) -> Result<Vec<ScenarioResult>, String> {
+    fs::read_to_string(path).map_err(|e| e.to_string()).and_then(|t| decode_shard(&t, header))
+}
+
+/// The shard loop: the **single** execution path every campaign mode
+/// shares, which is what makes a shard's bytes identical no matter which
+/// process computed them. `--shard-size` and `--resume` run it without a
+/// lease, `sweep work`, `serve`'s workers and its heal pass under `lease`.
+///
+/// It runs until **every** shard of the manifest validates. A shard whose
+/// file validates is loaded. Any other is claimed first when there is a
+/// lease (a live peer's claim means: retry later), has an invalid file
+/// quarantined, and is run config-major on the campaign's runner slots
+/// and committed atomically. The merge re-reads every shard in index
+/// order, and one that no longer validates re-enters the loop. The slots
+/// live for the whole campaign, so a worker's machine survives the shard
+/// boundary; results are pure functions of each scenario, so that does
+/// not show in them.
+pub(crate) fn run_campaign(
     dir: &Path,
     manifest: &Manifest,
     threads: usize,
-    resume: bool,
-) -> Result<(SweepReport, ResumeStats), CampaignError> {
+    lease: Option<&LeaseConfig>,
+    on_event: &mut dyn FnMut(&WorkEvent),
+) -> Result<(SweepReport, WorkSummary), CampaignError> {
     let shard_dir = dir.join(SHARD_DIR);
+    fs::create_dir_all(&shard_dir).map_err(io_err(dir))?;
     sweep_stale_tmps(&shard_dir);
     let scenarios = manifest.grid.enumerate();
     let resample = manifest.grid.resample();
-    let plan = manifest.plan();
     let fingerprint = manifest.fingerprint();
-    let mut stats = ResumeStats { shards: plan.n_shards(), ..ResumeStats::default() };
-    let mut results: Vec<ScenarioResult> = Vec::with_capacity(scenarios.len());
+    let n = manifest.plan().n_shards();
+    let mut summary = WorkSummary { shards: n, ..WorkSummary::default() };
     let mut runners = runner_slots(threads, manifest.shard_size);
+    let mut done = vec![false; n];
+    let mut done_count = 0usize;
+    // A peer's short shard commits within milliseconds, so waiting for
+    // one starts at 1 ms; doubling up to the cap bounds the polling
+    // while a long one runs.
+    let max_wait = Duration::from_millis(lease.map_or(0, |l| l.renew_ms).clamp(10, 250));
+    let mut wait = Duration::from_millis(1);
 
-    for shard in 0..plan.n_shards() {
-        let range = plan.range(shard);
-        let header = ShardHeader {
-            shard,
-            start: range.start,
-            end: range.end,
-            campaign_seed: manifest.campaign_seed,
-            fingerprint,
-        };
-        let path = shard_dir.join(shard_file_name(shard));
-        if resume && path.exists() {
-            match fs::read_to_string(&path)
-                .map_err(|e| e.to_string())
-                .and_then(|text| decode_shard(&text, &header))
-            {
-                Ok(loaded) => {
-                    results.extend(loaded);
-                    stats.skipped += 1;
+    'campaign: loop {
+        loop {
+            let mut progressed = false;
+            let mut remaining = 0usize;
+            for (shard, done_flag) in done.iter_mut().enumerate() {
+                if *done_flag {
                     continue;
                 }
-                Err(why) => {
-                    quarantine(dir, &path, shard).map_err(io_err(&path))?;
-                    stats.counters.shard_quarantines += 1;
-                    stats.quarantined.push((shard, why));
+                let header = shard_header(manifest, fingerprint, shard);
+                let path = shard_dir.join(shard_file_name(shard));
+                let mut check = load_shard(&path, &header);
+                let mut held = None;
+                let mut reclaimed = false;
+                if let (Err(_), Some(cfg)) = (&check, lease) {
+                    let claim = claim_shard(
+                        dir,
+                        shard,
+                        fingerprint,
+                        cfg,
+                        &mut summary.counters,
+                        &mut |e| on_event(&e),
+                    )
+                    .map_err(io_err(&path))?;
+                    let Claim::Claimed { lease: claimed, broke } = claim else {
+                        remaining += 1;
+                        continue;
+                    };
+                    on_event(&WorkEvent::Claimed { shard });
+                    // Revalidate under the lease: the shard may have been
+                    // committed between our check and the claim, and a
+                    // claimed-but-dead holder may have left torn bytes —
+                    // quarantined and re-executed, never trusted.
+                    check = load_shard(&path, &header);
+                    held = Some(claimed);
+                    reclaimed = broke;
+                }
+                match check {
+                    Ok(_) => {
+                        if let Some(held) = held {
+                            held.release();
+                        }
+                        *done_flag = true;
+                        done_count += 1;
+                        summary.loaded += 1;
+                        progressed = true;
+                        continue;
+                    }
+                    Err(why) if path.exists() => {
+                        quarantine(dir, &path, shard).map_err(io_err(&path))?;
+                        summary.counters.shard_quarantines += 1;
+                        reclaimed = true;
+                        on_event(&WorkEvent::Quarantined { shard, why });
+                    }
+                    Err(_) => {}
+                }
+                let hb = held.as_ref().zip(lease).map(|(held, cfg)| held.heartbeat(cfg));
+                let range = &scenarios[header.start..header.end];
+                let results = run_config_major(range, &mut runners, |runner, _, chunk| {
+                    chunk
+                        .iter()
+                        .map(|s| run_on(runner, s, manifest.campaign_seed, &resample).0)
+                        .collect()
+                });
+                let committed = failpoint("shard.write")
+                    .and_then(|()| write_atomic(&path, encode_shard(&header, &results)))
+                    .and_then(|()| failpoint("shard.commit"));
+                if let Some((held, hb)) = held.zip(hb) {
+                    summary.counters.lease_renewals += hb.stop().0;
+                    held.release();
+                }
+                committed.map_err(io_err(&path))?;
+                if reclaimed {
+                    summary.counters.lease_reclaims += 1;
+                }
+                *done_flag = true;
+                done_count += 1;
+                summary.committed += 1;
+                progressed = true;
+                on_event(&WorkEvent::Committed { shard, done: done_count, total: n });
+            }
+            if remaining == 0 {
+                break;
+            }
+            if progressed {
+                wait = Duration::from_millis(1);
+            } else {
+                on_event(&WorkEvent::Waiting { remaining });
+                thread::sleep(wait);
+                wait = (wait * 2).min(max_wait);
+            }
+        }
+        // Merge every shard in order. A shard that stopped validating
+        // after we marked it done (corrupted behind our back) re-enters
+        // the loop rather than poisoning the report.
+        let mut results: Vec<ScenarioResult> = Vec::with_capacity(scenarios.len());
+        for (shard, done_flag) in done.iter_mut().enumerate() {
+            let header = shard_header(manifest, fingerprint, shard);
+            match load_shard(&shard_dir.join(shard_file_name(shard)), &header) {
+                Ok(loaded) => results.extend(loaded),
+                Err(_) => {
+                    *done_flag = false;
+                    done_count -= 1;
+                    continue 'campaign;
                 }
             }
         }
-        let shard_results =
-            run_shard_range(&scenarios, range, manifest.campaign_seed, &resample, &mut runners);
-        failpoint("shard.write").map_err(io_err(&path))?;
-        write_atomic(&path, encode_shard(&header, &shard_results)).map_err(io_err(&path))?;
-        failpoint("shard.commit").map_err(io_err(&path))?;
-        results.extend(shard_results);
-        stats.executed += 1;
+        debug_assert!(results.iter().enumerate().all(|(k, r)| r.index == k));
+        let report = SweepReport { campaign_seed: manifest.campaign_seed, results };
+        return Ok((report, summary));
     }
-    debug_assert!(results.iter().enumerate().all(|(k, r)| r.index == k));
-    Ok((SweepReport { campaign_seed: manifest.campaign_seed, results }, stats))
-}
-
-/// Runs one shard's scenario range and returns its results in index
-/// order — the **single** execution path every campaign mode shares
-/// (in-process `run_sharded`/`resume_sharded` and the multi-process
-/// worker loop in [`crate::lease`]), which is what makes a shard's
-/// bytes identical no matter which process computed them.
-///
-/// The shard runs config-major on one worker per slot of `runners`. The
-/// caller creates the slots once per campaign and lends them to every
-/// shard, so a worker's machine survives the shard boundary; results are
-/// pure functions of each scenario, so neither choice shows in them.
-pub(crate) fn run_shard_range(
-    scenarios: &[Scenario],
-    range: Range<usize>,
-    campaign_seed: u64,
-    resample: &ResampleOptions,
-    runners: &mut [Option<Runner>],
-) -> Vec<ScenarioResult> {
-    run_config_major(&scenarios[range], runners, |runner, _, chunk| {
-        chunk.iter().map(|s| run_on(runner, s, campaign_seed, resample).0).collect()
-    })
 }
 
 /// The identity header every process derives for a shard of this
 /// manifest — what binds a shard file to its campaign.
-pub(crate) fn shard_header(manifest: &Manifest, fingerprint: u64, shard: usize) -> ShardHeader {
+fn shard_header(manifest: &Manifest, fingerprint: u64, shard: usize) -> ShardHeader {
     let range = manifest.plan().range(shard);
     ShardHeader {
         shard,
@@ -432,7 +450,7 @@ pub(crate) fn shard_header(manifest: &Manifest, fingerprint: u64, shard: usize) 
 
 /// Moves an invalid shard file into `quarantine/`, never overwriting an
 /// earlier incident (a numeric suffix disambiguates repeats).
-pub(crate) fn quarantine(dir: &Path, path: &Path, shard: usize) -> io::Result<()> {
+fn quarantine(dir: &Path, path: &Path, shard: usize) -> io::Result<()> {
     let qdir = dir.join(QUARANTINE_DIR);
     fs::create_dir_all(&qdir)?;
     let base = shard_file_name(shard);
@@ -452,7 +470,7 @@ pub(crate) fn quarantine(dir: &Path, path: &Path, shard: usize) -> io::Result<()
 /// one would fail that worker's rename. (Dead workers — including
 /// foreign PIDs from other killed processes — are exactly what this
 /// sweeps.)
-pub(crate) fn sweep_stale_tmps(shard_dir: &Path) {
+fn sweep_stale_tmps(shard_dir: &Path) {
     let Ok(entries) = fs::read_dir(shard_dir) else { return };
     for entry in entries.filter_map(|e| e.ok()) {
         let p = entry.path();
@@ -468,7 +486,9 @@ mod tests {
     use crate::engine::run_sweep;
     use crate::fixture::V1_SHARD;
     use crate::grid::DefensePoint;
+    use crate::lease::LEASE_DIR;
     use prefender_attacks::DefenseConfig;
+    use prefender_leakage::ResampleOptions;
 
     fn scratch(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("prefender-ckpt-{tag}-{}", std::process::id()));
@@ -480,6 +500,23 @@ mod tests {
         let mut g = SweepGrid::security_quick();
         g.seeds = 3;
         g
+    }
+
+    /// Resumes `dir` as [`resume_sharded`] does, and also returns the
+    /// `(shard, why)` of every quarantine the loop reported.
+    fn resume_quarantines(
+        dir: &Path,
+        threads: usize,
+    ) -> (SweepReport, WorkSummary, Vec<(usize, String)>) {
+        let manifest = load_manifest(dir).unwrap();
+        let mut quarantined = Vec::new();
+        let (report, summary) = run_campaign(dir, &manifest, threads, None, &mut |e| {
+            if let WorkEvent::Quarantined { shard, why } = e {
+                quarantined.push((*shard, why.clone()));
+            }
+        })
+        .unwrap();
+        (report, summary, quarantined)
     }
 
     #[test]
@@ -501,6 +538,23 @@ mod tests {
     }
 
     #[test]
+    fn manifest_bytes_are_pinned() {
+        // A directory written by an earlier build must still resume, so
+        // the manifest's text, and the fingerprint every shard header
+        // carries, may not move.
+        let m =
+            Manifest { campaign_seed: 0xC0FFEE, shard_size: 4, grid: SweepGrid::security_quick() };
+        assert_eq!(
+            m.encode(),
+            "PREFENDER-CAMPAIGN v1\nschema=3\nseed=12648430\nscenarios=2\nshard_size=4\n\
+             grid=attacks=fr;workloads=;leakages=;secrets=8;trials=4;jitter=0;permutations=0;\
+             bootstrap=0;alpha=3fa999999999999a;defenses=none:32,full:32;basics=none;\
+             hierarchies=paper;seeds=1\ncheck=0de6cec73c1b85df\n"
+        );
+        assert_eq!(m.fingerprint(), 0x0de6_cec7_3c1b_85df);
+    }
+
+    #[test]
     fn sharded_run_equals_in_memory_run_and_resume_is_idempotent() {
         let dir = scratch("equal");
         let grid = small_grid();
@@ -509,8 +563,8 @@ mod tests {
         let (report, stats) = run_sharded(&dir, &grid, &opts, 2).unwrap();
         assert_eq!(report, reference);
         assert_eq!(stats.shards, 3, "6 scenarios / shard size 2");
-        assert_eq!(stats.executed, 3);
-        assert_eq!(stats.skipped, 0);
+        assert_eq!(stats.committed, 3);
+        assert_eq!(stats.loaded, 0);
         // Starting again into the same directory is refused...
         let again = run_sharded(&dir, &grid, &opts, 2).unwrap_err();
         assert!(matches!(again, CampaignError::AlreadyStarted(_)), "{again}");
@@ -518,10 +572,13 @@ mod tests {
         let (resumed, manifest, stats) = resume_sharded(&dir, 1).unwrap();
         assert_eq!(resumed, reference);
         assert_eq!(manifest.grid, grid);
-        assert_eq!(stats.skipped, 3);
-        assert_eq!(stats.executed, 0);
-        assert!(stats.quarantined.is_empty());
-        assert_eq!(stats.render(), "3 shards: 3 skipped (complete), 0 quarantined, 0 executed");
+        assert_eq!(stats.loaded, 3);
+        assert_eq!(stats.committed, 0);
+        assert_eq!(stats.counters.shard_quarantines, 0);
+        let (_, _, quarantined) = resume_quarantines(&dir, 1);
+        assert!(quarantined.is_empty());
+        // Neither mode takes a lease.
+        assert!(!dir.join(LEASE_DIR).exists());
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -540,12 +597,12 @@ mod tests {
         let bytes = fs::read(&victim).unwrap();
         fs::write(&victim, &bytes[..bytes.len() - 7]).unwrap();
         fs::write(shards.join("shard-00001.psd.tmp.4000000000"), b"half-written").unwrap();
-        let (resumed, _, stats) = resume_sharded(&dir, 8).unwrap();
+        let (resumed, stats, quarantined) = resume_quarantines(&dir, 8);
         assert_eq!(resumed, reference, "resume must reproduce the uninterrupted bytes");
-        assert_eq!(stats.skipped, 1);
-        assert_eq!(stats.executed, 2);
-        assert_eq!(stats.quarantined.len(), 1);
-        assert_eq!(stats.quarantined[0].0, 2);
+        assert_eq!(stats.loaded, 1);
+        assert_eq!(stats.committed, 2);
+        assert_eq!(quarantined.len(), 1);
+        assert_eq!(quarantined[0].0, 2);
         assert_eq!(stats.counters.shard_quarantines, 1);
         // The bad shard is preserved for forensics, the tmp swept.
         assert!(dir.join(QUARANTINE_DIR).join(shard_file_name(2)).exists());
@@ -553,8 +610,8 @@ mod tests {
         // A second incident at the same shard gets a fresh name.
         let bytes = fs::read(&victim).unwrap();
         fs::write(&victim, &bytes[..10]).unwrap();
-        let (_, _, stats) = resume_sharded(&dir, 1).unwrap();
-        assert_eq!(stats.quarantined.len(), 1);
+        let (_, _, quarantined) = resume_quarantines(&dir, 1);
+        assert_eq!(quarantined.len(), 1);
         assert!(dir.join(QUARANTINE_DIR).join("shard-00002.psd.2").exists());
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -612,10 +669,10 @@ mod tests {
         let stolen = fs::read(dir_b.join(SHARD_DIR).join(shard_file_name(0))).unwrap();
         fs::write(dir_a.join(SHARD_DIR).join(shard_file_name(0)), stolen).unwrap();
         let reference = run_sweep(&grid, &SweepOptions { threads: 1, campaign_seed: 1 });
-        let (resumed, _, stats) = resume_sharded(&dir_a, 1).unwrap();
+        let (resumed, _, quarantined) = resume_quarantines(&dir_a, 1);
         assert_eq!(resumed, reference);
-        assert_eq!(stats.quarantined.len(), 1);
-        assert!(stats.quarantined[0].1.contains("does not match"), "{}", stats.quarantined[0].1);
+        assert_eq!(quarantined.len(), 1);
+        assert!(quarantined[0].1.contains("does not match"), "{}", quarantined[0].1);
         fs::remove_dir_all(&dir_a).unwrap();
         fs::remove_dir_all(&dir_b).unwrap();
     }
@@ -633,9 +690,9 @@ mod tests {
         let header = shard_header(&manifest, manifest.fingerprint(), 0);
         assert_eq!(decode_shard(V1_SHARD, &header).unwrap_err(), "bad magic");
         fs::write(dir.join(SHARD_DIR).join(shard_file_name(0)), V1_SHARD).unwrap();
-        let (resumed, _, stats) = resume_sharded(&dir, 1).unwrap();
-        assert_eq!(stats.quarantined, vec![(0, "bad magic".to_string())]);
-        assert_eq!((stats.skipped, stats.executed), (2, 1));
+        let (resumed, stats, quarantined) = resume_quarantines(&dir, 1);
+        assert_eq!(quarantined, vec![(0, "bad magic".to_string())]);
+        assert_eq!((stats.loaded, stats.committed), (2, 1));
         assert_eq!(resumed.artifacts(), run_sweep(&grid, &opts).artifacts());
         fs::remove_dir_all(&dir).unwrap();
     }

@@ -1,5 +1,7 @@
-//! Multi-process shard coordination: the claim/lease protocol and the
-//! worker loop behind `sweep work` / `sweep serve`.
+//! Multi-process shard coordination: the claim/lease protocol under
+//! which `sweep work` / `sweep serve` run the shard loop of
+//! [`crate::checkpoint`]. The in-process modes run the same loop without
+//! a lease.
 //!
 //! ## The protocol
 //!
@@ -60,18 +62,15 @@ use std::time::{Duration, SystemTime, UNIX_EPOCH};
 use prefender_obs::{failpoint, write_atomic, ObsCounters};
 
 use crate::artifact::SweepReport;
-use crate::checkpoint::{
-    io_err, load_manifest, quarantine, run_shard_range, shard_header, sweep_stale_tmps,
-    CampaignError, Manifest, SHARD_DIR,
-};
-use crate::engine::runner_slots;
-use crate::record::ScenarioResult;
-use crate::shard::{decode_shard, encode_shard, fnv1a64, shard_file_name, ShardHeader};
+use crate::checkpoint::{load_manifest, run_campaign, CampaignError, Manifest};
+use crate::shard::{fnv1a64, seal, unseal};
 
 /// Subdirectory holding shard lease files and break tombstones.
 pub const LEASE_DIR: &str = "leases";
 
 const LEASE_MAGIC: &str = "PREFENDER-LEASE v1";
+
+const LEASE_KEYS: [&str; 5] = ["pid", "token", "fingerprint", "shard", "heartbeat_ms"];
 
 /// Heartbeat/staleness policy for shard leases.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,12 +132,11 @@ impl LeaseInfo {
     /// same shape as the campaign manifest — a torn lease is detected,
     /// not trusted.
     pub fn encode(&self) -> String {
-        let mut out = format!(
-            "{LEASE_MAGIC}\npid={}\ntoken={:016x}\nfingerprint={:016x}\nshard={}\nheartbeat_ms={}\n",
-            self.pid, self.token, self.fingerprint, self.shard, self.heartbeat_ms
-        );
-        out.push_str(&format!("check={:016x}\n", fnv1a64(out.as_bytes())));
-        out
+        let (token, fingerprint) =
+            (format!("{:016x}", self.token), format!("{:016x}", self.fingerprint));
+        let values: [&dyn fmt::Display; 5] =
+            [&self.pid, &token, &fingerprint, &self.shard, &self.heartbeat_ms];
+        seal(LEASE_MAGIC, LEASE_KEYS, values).0
     }
 
     /// Parses and validates [`LeaseInfo::encode`]'s form.
@@ -148,37 +146,14 @@ impl LeaseInfo {
     /// A message naming the first defect: missing/bad checksum, wrong
     /// magic, or an unparsable field.
     pub fn decode(text: &str) -> Result<LeaseInfo, String> {
-        let body_len =
-            text.rfind("\ncheck=").map(|p| p + 1).ok_or("no checksum line (truncated?)")?;
-        let (body, check_line) = text.split_at(body_len);
-        let declared = check_line
-            .strip_prefix("check=")
-            .and_then(|s| u64::from_str_radix(s.trim_end(), 16).ok())
-            .ok_or("bad checksum line")?;
-        let actual = fnv1a64(body.as_bytes());
-        if actual != declared {
-            return Err(format!("checksum mismatch ({actual:016x} != {declared:016x})"));
-        }
-        let mut lines = body.lines();
-        if lines.next() != Some(LEASE_MAGIC) {
-            return Err("bad magic".into());
-        }
-        let mut field = |key: &str| -> Result<String, String> {
-            lines
-                .next()
-                .and_then(|l| l.strip_prefix(key))
-                .and_then(|l| l.strip_prefix('='))
-                .map(String::from)
-                .ok_or_else(|| format!("missing `{key}` line"))
-        };
-        let pid = field("pid")?.parse().map_err(|_| "bad pid".to_string())?;
-        let token = u64::from_str_radix(&field("token")?, 16).map_err(|_| "bad token")?;
-        let fingerprint =
-            u64::from_str_radix(&field("fingerprint")?, 16).map_err(|_| "bad fingerprint")?;
-        let shard = field("shard")?.parse().map_err(|_| "bad shard".to_string())?;
-        let heartbeat_ms =
-            field("heartbeat_ms")?.parse().map_err(|_| "bad heartbeat_ms".to_string())?;
-        Ok(LeaseInfo { pid, token, fingerprint, shard, heartbeat_ms })
+        let [pid, token, fingerprint, shard, heartbeat_ms] = unseal(text, LEASE_MAGIC, LEASE_KEYS)?;
+        Ok(LeaseInfo {
+            pid: pid.parse().map_err(|_| "bad pid")?,
+            token: u64::from_str_radix(token, 16).map_err(|_| "bad token")?,
+            fingerprint: u64::from_str_radix(fingerprint, 16).map_err(|_| "bad fingerprint")?,
+            shard: shard.parse().map_err(|_| "bad shard")?,
+            heartbeat_ms: heartbeat_ms.parse().map_err(|_| "bad heartbeat_ms")?,
+        })
     }
 }
 
@@ -451,7 +426,7 @@ impl Default for WorkOptions {
     }
 }
 
-/// A progress event from the worker loop. `sweep work` prints each as
+/// A progress event from the shard loop. `sweep work` prints each as
 /// one `sweep: work: {event}` line on stderr, which `sweep serve` reads
 /// back from its workers' pipes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -530,7 +505,10 @@ pub(crate) fn lease_counters(c: &ObsCounters) -> String {
     )
 }
 
-/// What one worker invocation did — the `sweep work` summary line.
+/// What one run of the shard loop did: a `sweep work` worker, `serve`'s
+/// heal pass, or an in-process `--shard-size`/`--resume` run. The last
+/// two print it as their `sweep: shards:`/`sweep: resume:` line; they
+/// take no lease, so their claims, renewals and breaks stay zero.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WorkSummary {
     /// Shards in the plan.
@@ -557,19 +535,13 @@ impl WorkSummary {
     }
 }
 
-fn load_shard(path: &Path, header: &ShardHeader) -> Result<Vec<ScenarioResult>, String> {
-    fs::read_to_string(path).map_err(|e| e.to_string()).and_then(|t| decode_shard(&t, header))
-}
-
-/// The claim-execute-commit loop: one worker process's share of a
-/// campaign. Runs until **every** shard of the manifest validates —
-/// claiming free shards, executing them with `opts.threads`, committing
-/// atomically, breaking stale leases, quarantining invalid committed
-/// shards, and polling while live peers hold the rest — then merges all
-/// shards and returns the same `(report, manifest, stats)` a
-/// single-process [`crate::resume_sharded`] would. Every cooperating
-/// worker returns the identical report; artifacts written from it are
-/// byte-identical across any worker count and kill schedule.
+/// One worker process's share of a campaign: the shard loop of
+/// [`crate::checkpoint`] under `opts.lease`, which claims free shards,
+/// breaks stale leases and polls while live peers hold the rest. Returns
+/// the same `(report, manifest, summary)` a single-process
+/// [`crate::resume_sharded`] would. Every cooperating worker returns the
+/// identical report; artifacts written from it are byte-identical across
+/// any worker count and kill schedule.
 ///
 /// # Errors
 ///
@@ -583,147 +555,18 @@ pub fn work_campaign(
     on_event: &mut dyn FnMut(&WorkEvent),
 ) -> Result<(SweepReport, Manifest, WorkSummary), CampaignError> {
     let manifest = load_manifest(dir)?;
-    let shard_dir = dir.join(SHARD_DIR);
-    fs::create_dir_all(&shard_dir).map_err(io_err(dir))?;
-    fs::create_dir_all(dir.join(LEASE_DIR)).map_err(io_err(dir))?;
-    sweep_stale_tmps(&shard_dir);
-    let scenarios = manifest.grid.enumerate();
-    let resample = manifest.grid.resample();
-    let fingerprint = manifest.fingerprint();
-    let n = manifest.plan().n_shards();
-    let mut summary = WorkSummary { shards: n, ..WorkSummary::default() };
-    let mut runners = runner_slots(opts.threads, manifest.shard_size);
-    let mut done = vec![false; n];
-    let mut done_count = 0usize;
-    // A peer's short shard commits within milliseconds, so waiting for
-    // one starts at 1 ms; doubling up to the cap bounds the polling
-    // while a long one runs.
-    let max_wait = Duration::from_millis(opts.lease.renew_ms.clamp(10, 250));
-    let mut wait = Duration::from_millis(1);
-
-    'campaign: loop {
-        loop {
-            let mut progressed = false;
-            let mut remaining = 0usize;
-            for (shard, done_flag) in done.iter_mut().enumerate() {
-                if *done_flag {
-                    continue;
-                }
-                let header = shard_header(&manifest, fingerprint, shard);
-                let path = shard_dir.join(shard_file_name(shard));
-                if load_shard(&path, &header).is_ok() {
-                    *done_flag = true;
-                    done_count += 1;
-                    summary.loaded += 1;
-                    progressed = true;
-                    continue;
-                }
-                let claim = claim_shard(
-                    dir,
-                    shard,
-                    fingerprint,
-                    &opts.lease,
-                    &mut summary.counters,
-                    &mut |e| on_event(&e),
-                )
-                .map_err(io_err(&path))?;
-                let (lease, broke) = match claim {
-                    Claim::Held { .. } => {
-                        remaining += 1;
-                        continue;
-                    }
-                    Claim::Claimed { lease, broke } => (lease, broke),
-                };
-                on_event(&WorkEvent::Claimed { shard });
-                // Revalidate under the lease: the shard may have been
-                // committed between our check and the claim, and a
-                // claimed-but-dead holder may have left torn bytes —
-                // quarantined and re-executed, never trusted.
-                let mut reclaimed = broke;
-                match load_shard(&path, &header) {
-                    Ok(_) => {
-                        lease.release();
-                        *done_flag = true;
-                        done_count += 1;
-                        summary.loaded += 1;
-                        progressed = true;
-                        continue;
-                    }
-                    Err(why) if path.exists() => {
-                        quarantine(dir, &path, shard).map_err(io_err(&path))?;
-                        summary.counters.shard_quarantines += 1;
-                        reclaimed = true;
-                        on_event(&WorkEvent::Quarantined { shard, why });
-                    }
-                    Err(_) => {}
-                }
-                let hb = lease.heartbeat(&opts.lease);
-                let committed = (|| -> Result<(), CampaignError> {
-                    let shard_results = run_shard_range(
-                        &scenarios,
-                        header.start..header.end,
-                        manifest.campaign_seed,
-                        &resample,
-                        &mut runners,
-                    );
-                    failpoint("shard.write").map_err(io_err(&path))?;
-                    write_atomic(&path, encode_shard(&header, &shard_results))
-                        .map_err(io_err(&path))?;
-                    failpoint("shard.commit").map_err(io_err(&path))?;
-                    Ok(())
-                })();
-                let (renewals, _lost) = hb.stop();
-                summary.counters.lease_renewals += renewals;
-                lease.release();
-                committed?;
-                if reclaimed {
-                    summary.counters.lease_reclaims += 1;
-                }
-                *done_flag = true;
-                done_count += 1;
-                summary.committed += 1;
-                progressed = true;
-                on_event(&WorkEvent::Committed { shard, done: done_count, total: n });
-            }
-            if remaining == 0 {
-                break;
-            }
-            if progressed {
-                wait = Duration::from_millis(1);
-            } else {
-                on_event(&WorkEvent::Waiting { remaining });
-                thread::sleep(wait);
-                wait = (wait * 2).min(max_wait);
-            }
-        }
-        // Merge every shard in order. A shard that stopped validating
-        // after we marked it done (corrupted behind our back) re-enters
-        // the claim loop rather than poisoning the report.
-        let mut results: Vec<ScenarioResult> = Vec::with_capacity(scenarios.len());
-        for (shard, done_flag) in done.iter_mut().enumerate() {
-            let header = shard_header(&manifest, fingerprint, shard);
-            let path = shard_dir.join(shard_file_name(shard));
-            match load_shard(&path, &header) {
-                Ok(loaded) => results.extend(loaded),
-                Err(_) => {
-                    *done_flag = false;
-                    done_count -= 1;
-                    continue 'campaign;
-                }
-            }
-        }
-        debug_assert!(results.iter().enumerate().all(|(k, r)| r.index == k));
-        let report = SweepReport { campaign_seed: manifest.campaign_seed, results };
-        return Ok((report, manifest, summary));
-    }
+    let (report, summary) =
+        run_campaign(dir, &manifest, opts.threads, Some(&opts.lease), on_event)?;
+    Ok((report, manifest, summary))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkpoint::init_campaign;
+    use crate::checkpoint::{init_campaign, SHARD_DIR};
     use crate::engine::{run_sweep, SweepOptions};
     use crate::grid::SweepGrid;
+    use crate::shard::shard_file_name;
 
     fn scratch(tag: &str) -> PathBuf {
         let dir =
@@ -755,6 +598,24 @@ mod tests {
         ] {
             assert!(LeaseInfo::decode(&bad).is_err(), "`{bad}` must be rejected");
         }
+    }
+
+    #[test]
+    fn lease_info_bytes_are_pinned() {
+        // Workers of different builds may share a campaign directory, so
+        // the lease text may not move.
+        let info = LeaseInfo {
+            pid: 4242,
+            token: 0x1234,
+            fingerprint: 0xF00D,
+            shard: 7,
+            heartbeat_ms: 1_700_000_000_000,
+        };
+        assert_eq!(
+            info.encode(),
+            "PREFENDER-LEASE v1\npid=4242\ntoken=0000000000001234\nfingerprint=000000000000f00d\n\
+             shard=7\nheartbeat_ms=1700000000000\ncheck=84aa6b1cd1899f73\n"
+        );
     }
 
     #[test]

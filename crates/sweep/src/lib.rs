@@ -50,7 +50,7 @@ mod shard;
 pub use artifact::SweepReport;
 pub use checkpoint::{
     init_campaign, load_manifest, resume_sharded, run_sharded, CampaignError, Manifest,
-    ResumeStats, MANIFEST_NAME, QUARANTINE_DIR, SHARD_DIR,
+    MANIFEST_NAME, QUARANTINE_DIR, SHARD_DIR,
 };
 pub use engine::{
     parallel_map, parallel_map_2d, run_sweep, run_sweep_observed, ChunkEvent, SweepObs,

@@ -37,6 +37,7 @@
 //! bumps whenever the record layout changes, so a shard in another layout
 //! fails decoding and its range is re-run.
 
+use std::fmt;
 use std::ops::Range;
 
 use crate::record::{ScenarioResult, COLUMNS, REPORT_SCHEMA_VERSION};
@@ -55,6 +56,56 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
+}
+
+/// The framing of the campaign manifest and of lease files: a magic line,
+/// one `key=value` line per field in order, and a `check=` line holding
+/// the FNV-1a 64 of every line above it, so a torn or hand-edited file is
+/// detected rather than trusted. Returns the text and that check.
+pub(crate) fn seal<const N: usize>(
+    magic: &str,
+    keys: [&str; N],
+    values: [&dyn fmt::Display; N],
+) -> (String, u64) {
+    let mut text = format!("{magic}\n");
+    for (key, value) in keys.iter().zip(values) {
+        text.push_str(&format!("{key}={value}\n"));
+    }
+    let check = fnv1a64(text.as_bytes());
+    text.push_str(&format!("check={check:016x}\n"));
+    (text, check)
+}
+
+/// Opens a [`seal`]ed text: verifies its checksum and magic, and returns
+/// the values of `keys` or a message naming the first defect.
+pub(crate) fn unseal<'t, const N: usize>(
+    text: &'t str,
+    magic: &str,
+    keys: [&str; N],
+) -> Result<[&'t str; N], String> {
+    let body_len = text.rfind("\ncheck=").map(|p| p + 1).ok_or("no checksum line (truncated?)")?;
+    let (body, check_line) = text.split_at(body_len);
+    let declared = check_line
+        .strip_prefix("check=")
+        .and_then(|s| u64::from_str_radix(s.trim_end(), 16).ok())
+        .ok_or("bad checksum line")?;
+    let actual = fnv1a64(body.as_bytes());
+    if actual != declared {
+        return Err(format!("checksum mismatch ({actual:016x} != {declared:016x})"));
+    }
+    let mut lines = body.lines();
+    if lines.next() != Some(magic) {
+        return Err("bad magic".into());
+    }
+    let mut values = [""; N];
+    for (value, key) in values.iter_mut().zip(keys) {
+        *value = lines
+            .next()
+            .and_then(|l| l.strip_prefix(key))
+            .and_then(|l| l.strip_prefix('='))
+            .ok_or_else(|| format!("missing `{key}` line"))?;
+    }
+    Ok(values)
 }
 
 /// The deterministic shard → scenario-range mapping of one campaign:

@@ -70,7 +70,15 @@ fn corrupt_tail(path: &Path) {
     fs::write(path, &bytes[..bytes.len() - 9]).expect("truncate shard");
 }
 
-/// Resumes the campaign and returns the resume telemetry line.
+/// The one line of `stderr` that starts with `prefix`, whole.
+fn line_of(stderr: &str, prefix: &str) -> String {
+    let mut lines = stderr.lines().filter(|l| l.starts_with(prefix));
+    let line = lines.next().unwrap_or_else(|| panic!("no `{prefix}` line in:\n{stderr}"));
+    assert!(lines.next().is_none(), "more than one `{prefix}` line in:\n{stderr}");
+    line.to_string()
+}
+
+/// Resumes the campaign and returns the whole `sweep: resume: …` line.
 fn resume(dir: &Path, threads: &str) -> String {
     let out = Command::new(SWEEP)
         .args(["--resume", dir.to_str().unwrap(), "--threads", threads, "--quiet"])
@@ -80,11 +88,7 @@ fn resume(dir: &Path, threads: &str) -> String {
         .expect("spawn resume");
     let stderr = String::from_utf8_lossy(&out.stderr).to_string();
     assert!(out.status.success(), "resume failed: {}\n{stderr}", out.status);
-    stderr
-        .lines()
-        .find(|l| l.contains("resume:"))
-        .unwrap_or_else(|| panic!("no resume telemetry in:\n{stderr}"))
-        .to_string()
+    line_of(&stderr, "sweep: resume: ")
 }
 
 fn assert_artifacts_equal(dir: &Path, json: &[u8], csv: &[u8], what: &str) {
@@ -124,16 +128,17 @@ fn double_resume_of_a_complete_campaign_is_a_byte_identical_noop() {
         "1",
     ];
     const ARTIFACTS: [&str; 4] = ["sweep.json", "sweep.csv", "leakage.json", "leakage.csv"];
-    let run = |extra: &[&str]| {
-        let status = Command::new(SWEEP)
+    let run = |extra: &[&str]| -> String {
+        let out = Command::new(SWEEP)
             .args(LEAK_GRID)
             .args(extra)
             .arg("--quiet")
             .stdout(Stdio::null())
-            .stderr(Stdio::null())
-            .status()
+            .output()
             .expect("spawn sweep");
-        assert!(status.success(), "sweep failed: {status}");
+        let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+        assert!(out.status.success(), "sweep failed: {}\n{stderr}", out.status);
+        stderr
     };
     let read_artifacts = |dir: &Path| -> Vec<Vec<u8>> {
         ARTIFACTS
@@ -146,15 +151,20 @@ fn double_resume_of_a_complete_campaign_is_a_byte_identical_noop() {
     // A complete sharded campaign (16 scenarios / shard size 3 = 6
     // shards), with the final artifacts deleted so each resume must
     // regenerate them from the shards rather than inherit stale files.
-    run(&["--threads", "2", "--shard-size", "3", "--out", camp.to_str().unwrap()]);
+    let sharded = run(&["--threads", "2", "--shard-size", "3", "--out", camp.to_str().unwrap()]);
+    assert_eq!(
+        line_of(&sharded, "sweep: shards: "),
+        "sweep: shards: 6 shards: 0 skipped (complete), 0 quarantined, 6 executed"
+    );
     for (threads, tag) in [("1", "first resume, 1 thread"), ("8", "second resume, 8 threads")] {
         for name in ARTIFACTS {
             fs::remove_file(camp.join(name)).expect(name);
         }
-        let telemetry = resume(&camp, threads);
-        assert!(telemetry.contains("6 skipped"), "{tag}: {telemetry}");
-        assert!(telemetry.contains("0 quarantined"), "{tag}: {telemetry}");
-        assert!(telemetry.contains("0 executed"), "{tag}: {telemetry}");
+        assert_eq!(
+            resume(&camp, threads),
+            "sweep: resume: 6 shards: 6 skipped (complete), 0 quarantined, 0 executed",
+            "{tag}"
+        );
         for (name, (got, want)) in ARTIFACTS.iter().zip(read_artifacts(&camp).iter().zip(&want)) {
             assert_eq!(got, want, "{tag}: {name} differs from the uninterrupted run");
         }
@@ -183,15 +193,17 @@ fn aborted_campaign_resumes_to_identical_artifacts_single_threaded() {
     // A torn shard on top of the crash: quarantined, not trusted.
     corrupt_tail(&committed[0]);
 
-    let telemetry = resume(&camp, "1");
-    assert!(telemetry.contains("1 quarantined"), "{telemetry}");
-    assert!(telemetry.contains("1 skipped"), "{telemetry}");
+    assert_eq!(
+        resume(&camp, "1"),
+        "sweep: resume: 6 shards: 1 skipped (complete), 1 quarantined, 5 executed"
+    );
     assert_artifacts_equal(&camp, &json, &csv, "abort + corrupt, 1 thread");
 
     // Resuming a finished campaign is a cheap no-op with full telemetry.
-    let telemetry = resume(&camp, "1");
-    assert!(telemetry.contains("6 skipped"), "{telemetry}");
-    assert!(telemetry.contains("0 executed"), "{telemetry}");
+    assert_eq!(
+        resume(&camp, "1"),
+        "sweep: resume: 6 shards: 6 skipped (complete), 0 quarantined, 0 executed"
+    );
 
     fs::remove_dir_all(&clean).unwrap();
     fs::remove_dir_all(&camp).unwrap();
@@ -226,8 +238,10 @@ fn sigkilled_campaign_resumes_to_identical_artifacts_at_8_threads() {
 
     corrupt_tail(&shard_files(&camp)[2]);
 
-    let telemetry = resume(&camp, "8");
-    assert!(telemetry.contains("1 quarantined"), "{telemetry}");
+    assert_eq!(
+        resume(&camp, "8"),
+        "sweep: resume: 8 shards: 2 skipped (complete), 1 quarantined, 6 executed"
+    );
     assert_artifacts_equal(&camp, &json, &csv, "kill -9 + corrupt, 8 threads");
 
     fs::remove_dir_all(&clean).unwrap();

@@ -58,8 +58,8 @@ fn injected_io_failure_surfaces_and_leaves_a_resumable_directory() {
     let reference = run_sweep(&grid, &opts);
     let (resumed, _, stats) = resume_sharded(&dir, 1).unwrap();
     assert_eq!(resumed, reference);
-    assert_eq!(stats.skipped, 1);
-    assert_eq!(stats.executed, 2);
+    assert_eq!(stats.loaded, 1);
+    assert_eq!(stats.committed, 2);
     fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -19,8 +19,8 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use prefender_sweep::{
-    init_campaign, run_sweep, serve_campaign, AttackCase, DefenseConfig, DefensePoint,
-    ServeOptions, SweepGrid, SweepOptions, LEASE_DIR, SHARD_DIR,
+    init_campaign, lease_file_name, run_sweep, serve_campaign, AttackCase, DefenseConfig,
+    DefensePoint, LeaseConfig, ServeOptions, SweepGrid, SweepOptions, LEASE_DIR, SHARD_DIR,
 };
 
 const SWEEP: &str = env!("CARGO_BIN_EXE_sweep");
@@ -295,6 +295,58 @@ fn aborted_campaign(camp: &Path) {
         .expect("spawn sharded sweep");
     assert!(!status.success(), "the kill failpoint must take the process down");
     assert_eq!(shard_files(camp).len(), 1, "one shard committed before the abort");
+}
+
+/// `--resume` runs the shard loop without a lease. A `sweep work` killed
+/// right after a commit leaves its fresh lease behind; the resume must
+/// neither wait out that lease's TTL nor break it, and must not touch it.
+#[test]
+fn resume_ignores_a_dead_workers_lease() {
+    let clean = scratch("lease-free-clean");
+    let camp = scratch("lease-free-camp");
+    let (json, csv) = reference(&clean, "1");
+    aborted_campaign(&camp);
+    assert!(!camp.join(LEASE_DIR).exists(), "a --shard-size run takes no lease");
+
+    // The worker loads shard 0, then dies right after committing shard 1,
+    // still holding that shard's lease.
+    let status = Command::new(SWEEP)
+        .args(["work", camp.to_str().unwrap()])
+        .env("PREFENDER_FAILPOINTS", "shard.commit=kill@1")
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .status()
+        .expect("spawn sweep work");
+    assert!(!status.success(), "the kill failpoint must take the worker down");
+    let lease = camp.join(LEASE_DIR).join(lease_file_name(1));
+    let held = fs::read(&lease).expect("the dead worker's lease is left behind");
+
+    let began = Instant::now();
+    let out = Command::new(SWEEP)
+        .args(["--resume", camp.to_str().unwrap(), "--threads", "1", "--quiet"])
+        .stdout(Stdio::null())
+        .output()
+        .expect("spawn resume");
+    let took = began.elapsed();
+    let log = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "resume failed: {}\n{log}", out.status);
+    assert!(
+        log.lines().any(
+            |l| l == "sweep: resume: 8 shards: 2 skipped (complete), 0 quarantined, 6 executed"
+        ),
+        "{log}"
+    );
+    assert!(took < Duration::from_millis(LeaseConfig::default().ttl_ms), "resume took {took:?}");
+    assert_eq!(fs::read(&lease).expect("the lease survives"), held, "the lease must not change");
+    let left: Vec<_> = fs::read_dir(camp.join(LEASE_DIR))
+        .expect("lease dir")
+        .map(|e| e.expect("lease dir entry").file_name())
+        .collect();
+    assert_eq!(left, [lease_file_name(1).as_str()], "no lease was broken or added");
+    assert_artifacts_equal(&camp, &json, &csv, "a resume past a dead worker's lease");
+
+    fs::remove_dir_all(&clean).unwrap();
+    fs::remove_dir_all(&camp).unwrap();
 }
 
 /// Two fault-free `sweep work` processes racing on one half-finished

@@ -152,12 +152,16 @@ proptest! {
                 );
             }
             prop_assert_eq!(
-                stats.skipped + stats.executed,
+                stats.loaded + stats.committed,
                 plan.n_shards(),
                 "every shard is either loaded or re-run"
             );
             if !survivors.is_empty() {
-                prop_assert_eq!(stats.quarantined.len(), 1, "the truncated survivor quarantines");
+                prop_assert_eq!(
+                    stats.counters.shard_quarantines,
+                    1,
+                    "the truncated survivor quarantines"
+                );
             }
         }
         fs::remove_dir_all(&dir).expect("cleanup");
