@@ -85,10 +85,9 @@ impl fmt::Display for RunSummary {
 /// load/store cheaper.
 type AddrMap = prefender_sim::Mix64Map<u64>;
 
-/// Notifies a core's prefetcher of one demand access and issues the
-/// proposed prefetches — over the caller's already-destructured machine
-/// fields so `step_core`'s disjoint borrows stay intact. The scratch
-/// buffer is cleared (not shrunk) per access: no allocation once warm.
+/// A yield point no core reaches: [`Machine::step`]'s, and a lone core's.
+const NEVER: Cycle = Cycle::new(u64::MAX);
+
 /// Emits the flight recorder's retired-access event — the latency stream a
 /// measuring attacker observes. Disarmed (the default) this is one relaxed
 /// atomic load; the set index is only computed inside the armed closure.
@@ -116,6 +115,10 @@ fn record_access(
     });
 }
 
+/// Notifies a core's prefetcher of one demand access and issues the
+/// proposed prefetches — over the caller's already-destructured machine
+/// fields so `run_core`'s disjoint borrows stay intact. The scratch
+/// buffer is cleared (not shrunk) per access: no allocation once warm.
 fn notify_access(
     mem: &mut MemorySystem,
     pf: &mut dyn Prefetcher,
@@ -151,8 +154,8 @@ pub struct Machine {
     /// `Prefetcher::on_access_into`: cleared (not shrunk) per access, so
     /// the notify path performs no allocation once warm.
     prefetch_scratch: Vec<PrefetchRequest>,
-    /// Observability: batched consecutive-`nop` retires dispatched via
-    /// [`Machine::retire_nop_run`] (always-on plain counter).
+    /// Observability: runs of consecutive `nop`s that [`Machine::run`]
+    /// retired in one dispatch each (always-on plain counter).
     retire_fast_dispatches: u64,
     /// Observability: instructions retired through those batches.
     retire_fast_nops: u64,
@@ -245,9 +248,9 @@ impl Machine {
         self.cores.len()
     }
 
-    /// Batched consecutive-`nop` retire dispatches (see
-    /// [`Machine::retire_nop_run`]) and the instructions they retired —
-    /// how often the hottest dispatch shortcut actually fires.
+    /// Batched consecutive-`nop` retire dispatches (see [`Machine::run`])
+    /// and the instructions they retired — how often the hottest dispatch
+    /// shortcut actually fires.
     pub fn retire_fast_path(&self) -> (u64, u64) {
         (self.retire_fast_dispatches, self.retire_fast_nops)
     }
@@ -349,17 +352,58 @@ impl Machine {
         }
     }
 
+    /// Where core `c`, the scheduler's choice, stops being it: the
+    /// earliest `ready_at` among the other running cores, plus 1 for a
+    /// core with a higher index (a tie goes to the lower index, as in
+    /// [`Machine::runnable`]). Other cores do not move while `c` runs.
+    fn yield_at(&self, c: usize) -> Cycle {
+        self.cores
+            .iter()
+            .enumerate()
+            .filter(|&(j, core)| j != c && core.state == CoreState::Running)
+            .map(|(j, core)| core.ready_at + u64::from(j > c))
+            .min()
+            .unwrap_or(NEVER)
+    }
+
     /// Executes one instruction on the earliest-ready running core.
     ///
-    /// Returns `false` when no core is runnable.
+    /// Returns `false` when no core is runnable. Never batches `nop`s.
     pub fn step(&mut self) -> bool {
         let Some(c) = self.runnable() else { return false };
-        self.step_core(c);
+        self.run_core(c, 1, NEVER, false);
         true
     }
 
-    /// Retires a run of consecutive `nop`s on core `c` in one dispatch,
-    /// bounded by `budget` instructions. Only legal when instruction
+    /// Runs until every core halts (or the instruction cap trips), on
+    /// exactly the schedule of repeated [`Machine::step`] calls: the
+    /// earliest-ready core runs until another core becomes the earliest,
+    /// and `nop` runs retire in one dispatch where that is unobservable.
+    pub fn run(&mut self) -> RunSummary {
+        let start_retired: u64 = self.cores.iter().map(|c| c.retired).sum();
+        let mut executed = 0u64;
+        while executed < self.cfg.max_instructions {
+            let Some(c) = self.runnable() else { break };
+            let until = self.yield_at(c);
+            let steps = self.run_core(c, self.cfg.max_instructions - executed, until, true);
+            debug_assert!(steps > 0, "the scheduler's choice is ready before its yield point");
+            executed += steps;
+        }
+        let total: u64 = self.cores.iter().map(|c| c.retired).sum();
+        RunSummary {
+            cycles: self.now().raw(),
+            instructions: total - start_retired,
+            truncated: self.runnable().is_some(),
+        }
+    }
+
+    /// Runs core `c` until it has taken `budget` steps, halts, or its
+    /// `ready_at` reaches `until`. Returns the steps taken: one per
+    /// instruction, one for running off the program's end, and a whole
+    /// batch's length for a batch of `nop`s.
+    ///
+    /// `batch_nops` retires a run of consecutive `nop`s (at most the rest
+    /// of `budget`) in one dispatch. That is only legal when instruction
     /// fetch is unmodelled (each fetch would touch the L1I) and the
     /// core's prefetcher ignores non-register-writing retires — then a
     /// `nop` has *no* effect beyond `ready_at`/`pc_index`/`retired`
@@ -369,93 +413,7 @@ impl Machine {
     /// other cores' accesses is unobservable). Attack programs spend
     /// ~80% of their retired instructions in measurement-spacing `nop`
     /// runs, which makes this the single hottest dispatch shortcut.
-    ///
-    /// Returns how many instructions were retired (0 = the current
-    /// instruction is not a batchable `nop`; the caller single-steps).
-    fn retire_nop_run(&mut self, c: usize, budget: u64) -> u64 {
-        if self.cfg.model_fetch || self.retire_interest[c] == RetireInterest::All {
-            return 0;
-        }
-        let core = &mut self.cores[c];
-        let Some(prog) = core.program.as_ref() else { return 0 };
-        let mut k = 0u64;
-        while k < budget {
-            match prog.instr(core.pc_index + k as usize) {
-                Some(Instr::Nop) => k += 1,
-                _ => break,
-            }
-        }
-        if k > 0 {
-            core.pc_index += k as usize;
-            core.ready_at += k * self.cfg.alu_cost;
-            core.retired += k;
-            self.retire_fast_dispatches += 1;
-            self.retire_fast_nops += k;
-        }
-        k
-    }
-
-    /// One scheduling decision for [`Machine::run`]: the earliest-ready
-    /// core retires either one instruction or a whole `nop` run (at most
-    /// `budget` instructions). Returns how many instructions retired,
-    /// or `None` when no core is runnable.
-    fn step_budget(&mut self, budget: u64) -> Option<u64> {
-        let c = self.runnable()?;
-        let batched = self.retire_nop_run(c, budget);
-        if batched > 0 {
-            return Some(batched);
-        }
-        self.step_core(c);
-        Some(1)
-    }
-
-    /// Runs until every core halts (or the instruction cap trips).
-    pub fn run(&mut self) -> RunSummary {
-        let start_retired: u64 = self.cores.iter().map(|c| c.retired).sum();
-        let mut executed = 0u64;
-        while executed < self.cfg.max_instructions {
-            match self.step_budget(self.cfg.max_instructions - executed) {
-                None => {
-                    let total: u64 = self.cores.iter().map(|c| c.retired).sum();
-                    return RunSummary {
-                        cycles: self.now().raw(),
-                        instructions: total - start_retired,
-                        truncated: false,
-                    };
-                }
-                Some(k) => executed += k,
-            }
-        }
-        let total: u64 = self.cores.iter().map(|c| c.retired).sum();
-        RunSummary {
-            cycles: self.now().raw(),
-            instructions: total - start_retired,
-            truncated: true,
-        }
-    }
-
-    /// Runs until `deadline` (useful for phase-structured attack drivers).
-    pub fn run_until(&mut self, deadline: Cycle) -> RunSummary {
-        let start_retired: u64 = self.cores.iter().map(|c| c.retired).sum();
-        let mut executed = 0u64;
-        while executed < self.cfg.max_instructions {
-            match self.runnable() {
-                Some(c) if self.cores[c].ready_at < deadline => {
-                    self.step_core(c);
-                    executed += 1;
-                }
-                _ => break,
-            }
-        }
-        let total: u64 = self.cores.iter().map(|c| c.retired).sum();
-        RunSummary {
-            cycles: self.now().raw(),
-            instructions: total - start_retired,
-            truncated: executed >= self.cfg.max_instructions,
-        }
-    }
-
-    fn step_core(&mut self, c: usize) {
+    fn run_core(&mut self, c: usize, budget: u64, until: Cycle, batch_nops: bool) -> u64 {
         // One destructure up front: every field borrow below is disjoint,
         // so the dispatch loop pays the `cores[c]` bounds check once
         // instead of once per register access.
@@ -468,189 +426,216 @@ impl Machine {
             data,
             trace,
             prefetch_scratch,
-            retire_fast_dispatches: _,
-            retire_fast_nops: _,
+            retire_fast_dispatches,
+            retire_fast_nops,
         } = self;
         let core = &mut cores[c];
-        let mut t = core.ready_at;
-        let (instr, pc) = {
-            let prog = core.program.as_ref().expect("running core has a program");
-            match prog.instr(core.pc_index) {
-                Some(i) => (*i, prog.pc_of(core.pc_index)),
-                None => {
-                    core.state = CoreState::Halted;
-                    return;
-                }
-            }
-        };
-
-        if cfg.model_fetch {
-            t += mem.fetch(c, Addr::new(pc), t);
-        }
-
-        let mut next = core.pc_index + 1;
-        let cost = match instr {
-            Instr::LoadImm { rd, imm } => {
-                core.regs.write(rd, imm as u64);
-                cfg.alu_cost
-            }
-            Instr::Load { rd, base, offset } => {
-                let addr = Addr::new(core.regs.read(base).wrapping_add(offset as u64));
-                let outcome = mem.access(c, addr, AccessKind::Read, t);
-                let value = data.get(&addr.raw()).copied().unwrap_or(0);
-                core.regs.write(rd, value);
-                trace.record(TraceEntry {
-                    core: c,
-                    pc,
-                    addr,
-                    kind: AccessKind::Read,
-                    latency: outcome.latency,
-                    served_by: outcome.served_by,
-                    at: t,
-                });
-                record_access(mem, c, pc, addr, t, &outcome);
-                if let Some(pf) = prefetchers[c].as_mut() {
-                    let ev = AccessEvent {
-                        core: c,
-                        pc,
-                        vaddr: addr,
-                        base: Some(base),
-                        kind: AccessKind::Read,
-                        outcome,
-                        now: t,
-                    };
-                    notify_access(mem, pf.as_mut(), prefetch_scratch, &ev);
-                }
-                outcome.latency
-            }
-            Instr::Store { src, base, offset } => {
-                let addr = Addr::new(core.regs.read(base).wrapping_add(offset as u64));
-                let outcome = mem.access(c, addr, AccessKind::Write, t);
-                let value = core.regs.read(src);
-                data.insert(addr.raw(), value);
-                trace.record(TraceEntry {
-                    core: c,
-                    pc,
-                    addr,
-                    kind: AccessKind::Write,
-                    latency: outcome.latency,
-                    served_by: outcome.served_by,
-                    at: t,
-                });
-                record_access(mem, c, pc, addr, t, &outcome);
-                if let Some(pf) = prefetchers[c].as_mut() {
-                    let ev = AccessEvent {
-                        core: c,
-                        pc,
-                        vaddr: addr,
-                        base: Some(base),
-                        kind: AccessKind::Write,
-                        outcome,
-                        now: t,
-                    };
-                    notify_access(mem, pf.as_mut(), prefetch_scratch, &ev);
-                }
-                cfg.store_cost
-            }
-            Instr::Add { rd, a, b } => {
-                let v = core.regs.read(a).wrapping_add(core.regs.value(b));
-                core.regs.write(rd, v);
-                cfg.alu_cost
-            }
-            Instr::Sub { rd, a, b } => {
-                let v = core.regs.read(a).wrapping_sub(core.regs.value(b));
-                core.regs.write(rd, v);
-                cfg.alu_cost
-            }
-            Instr::Mul { rd, a, b } => {
-                let v = core.regs.read(a).wrapping_mul(core.regs.value(b));
-                core.regs.write(rd, v);
-                cfg.mul_cost
-            }
-            Instr::Shl { rd, a, b } => {
-                let sh = core.regs.value(b) & 63;
-                let v = core.regs.read(a).wrapping_shl(sh as u32);
-                core.regs.write(rd, v);
-                cfg.alu_cost
-            }
-            Instr::Shr { rd, a, b } => {
-                let sh = core.regs.value(b) & 63;
-                let v = core.regs.read(a).wrapping_shr(sh as u32);
-                core.regs.write(rd, v);
-                cfg.alu_cost
-            }
-            Instr::And { rd, a, b } => {
-                let v = core.regs.read(a) & core.regs.value(b);
-                core.regs.write(rd, v);
-                cfg.alu_cost
-            }
-            Instr::Or { rd, a, b } => {
-                let v = core.regs.read(a) | core.regs.value(b);
-                core.regs.write(rd, v);
-                cfg.alu_cost
-            }
-            Instr::Xor { rd, a, b } => {
-                let v = core.regs.read(a) ^ core.regs.value(b);
-                core.regs.write(rd, v);
-                cfg.alu_cost
-            }
-            Instr::Mov { rd, rs } => {
-                let v = core.regs.read(rs);
-                core.regs.write(rd, v);
-                cfg.alu_cost
-            }
-            Instr::Flush { base, offset } => {
-                let addr = Addr::new(core.regs.read(base).wrapping_add(offset as u64));
-                let lat = mem.flush(addr, t);
-                cfg.flush_cost + lat
-            }
-            Instr::Rdtsc { rd } => {
-                core.regs.write(rd, t.raw());
-                cfg.alu_cost
-            }
-            Instr::Nop => cfg.alu_cost,
-            Instr::Jmp { target } => {
-                next = target;
-                cfg.branch_cost
-            }
-            Instr::Bnz { cond, target } => {
-                if core.regs.read(cond) != 0 {
-                    next = target;
-                }
-                cfg.branch_cost
-            }
-            Instr::Beq { a, b, target } => {
-                if core.regs.read(a) == core.regs.read(b) {
-                    next = target;
-                }
-                cfg.branch_cost
-            }
-            Instr::Blt { a, b, target } => {
-                if core.regs.read(a) < core.regs.read(b) {
-                    next = target;
-                }
-                cfg.branch_cost
-            }
-            Instr::Halt => {
+        let prog = core.program.as_ref().expect("running core has a program");
+        let prefetcher = &mut prefetchers[c];
+        let interest = retire_interest[c];
+        let batch_nops = batch_nops && !cfg.model_fetch && interest != RetireInterest::All;
+        let mut pc_index = core.pc_index;
+        let mut ready_at = core.ready_at;
+        let mut retired = core.retired;
+        let mut steps = 0u64;
+        while steps < budget && ready_at < until {
+            let Some(&instr) = prog.instr(pc_index) else {
                 core.state = CoreState::Halted;
-                0
+                steps += 1;
+                break;
+            };
+            if batch_nops && instr == Instr::Nop {
+                let mut k = 1u64;
+                while k < budget - steps && prog.instr(pc_index + k as usize) == Some(&Instr::Nop) {
+                    k += 1;
+                }
+                pc_index += k as usize;
+                ready_at += k * cfg.alu_cost;
+                retired += k;
+                steps += k;
+                *retire_fast_dispatches += 1;
+                *retire_fast_nops += k;
+                continue;
             }
-        };
+            let pc = prog.pc_of(pc_index);
+            let mut t = ready_at;
 
-        let wanted = match retire_interest[c] {
-            RetireInterest::None => false,
-            RetireInterest::RegWriters => instr.writes_reg(),
-            RetireInterest::All => true,
-        };
-        if wanted {
-            if let Some(pf) = prefetchers[c].as_mut() {
-                pf.on_retire(&RetireEvent { core: c, pc, instr: &instr, now: t });
+            if cfg.model_fetch {
+                t += mem.fetch(c, Addr::new(pc), t);
+            }
+
+            let mut next = pc_index + 1;
+            let cost = match instr {
+                Instr::LoadImm { rd, imm } => {
+                    core.regs.write(rd, imm as u64);
+                    cfg.alu_cost
+                }
+                Instr::Load { rd, base, offset } => {
+                    let addr = Addr::new(core.regs.read(base).wrapping_add(offset as u64));
+                    let outcome = mem.access(c, addr, AccessKind::Read, t);
+                    let value = data.get(&addr.raw()).copied().unwrap_or(0);
+                    core.regs.write(rd, value);
+                    trace.record(TraceEntry {
+                        core: c,
+                        pc,
+                        addr,
+                        kind: AccessKind::Read,
+                        latency: outcome.latency,
+                        served_by: outcome.served_by,
+                        at: t,
+                    });
+                    record_access(mem, c, pc, addr, t, &outcome);
+                    if let Some(pf) = prefetcher.as_mut() {
+                        let ev = AccessEvent {
+                            core: c,
+                            pc,
+                            vaddr: addr,
+                            base: Some(base),
+                            kind: AccessKind::Read,
+                            outcome,
+                            now: t,
+                        };
+                        notify_access(mem, pf.as_mut(), prefetch_scratch, &ev);
+                    }
+                    outcome.latency
+                }
+                Instr::Store { src, base, offset } => {
+                    let addr = Addr::new(core.regs.read(base).wrapping_add(offset as u64));
+                    let outcome = mem.access(c, addr, AccessKind::Write, t);
+                    let value = core.regs.read(src);
+                    data.insert(addr.raw(), value);
+                    trace.record(TraceEntry {
+                        core: c,
+                        pc,
+                        addr,
+                        kind: AccessKind::Write,
+                        latency: outcome.latency,
+                        served_by: outcome.served_by,
+                        at: t,
+                    });
+                    record_access(mem, c, pc, addr, t, &outcome);
+                    if let Some(pf) = prefetcher.as_mut() {
+                        let ev = AccessEvent {
+                            core: c,
+                            pc,
+                            vaddr: addr,
+                            base: Some(base),
+                            kind: AccessKind::Write,
+                            outcome,
+                            now: t,
+                        };
+                        notify_access(mem, pf.as_mut(), prefetch_scratch, &ev);
+                    }
+                    cfg.store_cost
+                }
+                Instr::Add { rd, a, b } => {
+                    let v = core.regs.read(a).wrapping_add(core.regs.value(b));
+                    core.regs.write(rd, v);
+                    cfg.alu_cost
+                }
+                Instr::Sub { rd, a, b } => {
+                    let v = core.regs.read(a).wrapping_sub(core.regs.value(b));
+                    core.regs.write(rd, v);
+                    cfg.alu_cost
+                }
+                Instr::Mul { rd, a, b } => {
+                    let v = core.regs.read(a).wrapping_mul(core.regs.value(b));
+                    core.regs.write(rd, v);
+                    cfg.mul_cost
+                }
+                Instr::Shl { rd, a, b } => {
+                    let sh = core.regs.value(b) & 63;
+                    let v = core.regs.read(a).wrapping_shl(sh as u32);
+                    core.regs.write(rd, v);
+                    cfg.alu_cost
+                }
+                Instr::Shr { rd, a, b } => {
+                    let sh = core.regs.value(b) & 63;
+                    let v = core.regs.read(a).wrapping_shr(sh as u32);
+                    core.regs.write(rd, v);
+                    cfg.alu_cost
+                }
+                Instr::And { rd, a, b } => {
+                    let v = core.regs.read(a) & core.regs.value(b);
+                    core.regs.write(rd, v);
+                    cfg.alu_cost
+                }
+                Instr::Or { rd, a, b } => {
+                    let v = core.regs.read(a) | core.regs.value(b);
+                    core.regs.write(rd, v);
+                    cfg.alu_cost
+                }
+                Instr::Xor { rd, a, b } => {
+                    let v = core.regs.read(a) ^ core.regs.value(b);
+                    core.regs.write(rd, v);
+                    cfg.alu_cost
+                }
+                Instr::Mov { rd, rs } => {
+                    let v = core.regs.read(rs);
+                    core.regs.write(rd, v);
+                    cfg.alu_cost
+                }
+                Instr::Flush { base, offset } => {
+                    let addr = Addr::new(core.regs.read(base).wrapping_add(offset as u64));
+                    let lat = mem.flush(addr, t);
+                    cfg.flush_cost + lat
+                }
+                Instr::Rdtsc { rd } => {
+                    core.regs.write(rd, t.raw());
+                    cfg.alu_cost
+                }
+                Instr::Nop => cfg.alu_cost,
+                Instr::Jmp { target } => {
+                    next = target;
+                    cfg.branch_cost
+                }
+                Instr::Bnz { cond, target } => {
+                    if core.regs.read(cond) != 0 {
+                        next = target;
+                    }
+                    cfg.branch_cost
+                }
+                Instr::Beq { a, b, target } => {
+                    if core.regs.read(a) == core.regs.read(b) {
+                        next = target;
+                    }
+                    cfg.branch_cost
+                }
+                Instr::Blt { a, b, target } => {
+                    if core.regs.read(a) < core.regs.read(b) {
+                        next = target;
+                    }
+                    cfg.branch_cost
+                }
+                Instr::Halt => {
+                    core.state = CoreState::Halted;
+                    0
+                }
+            };
+
+            let wanted = match interest {
+                RetireInterest::None => false,
+                RetireInterest::RegWriters => instr.writes_reg(),
+                RetireInterest::All => true,
+            };
+            if wanted {
+                if let Some(pf) = prefetcher.as_mut() {
+                    pf.on_retire(&RetireEvent { core: c, pc, instr: &instr, now: t });
+                }
+            }
+
+            pc_index = next;
+            ready_at = t + cost;
+            retired += 1;
+            steps += 1;
+            if instr == Instr::Halt {
+                break;
             }
         }
-
-        core.pc_index = next;
-        core.ready_at = t + cost;
-        core.retired += 1;
+        core.pc_index = pc_index;
+        core.ready_at = ready_at;
+        core.retired = retired;
+        steps
     }
 }
 
@@ -883,14 +868,89 @@ mod tests {
     }
 
     #[test]
-    fn run_until_respects_deadline() {
-        let mut m = machine();
-        m.load_program(0, Program::parse("top: nop\njmp top\n").unwrap());
-        // 5000 cycles is far past the cold-fetch warm-up, so the overshoot
-        // is at most one instruction's cost.
-        m.run_until(Cycle::new(5000));
-        assert!(m.now().raw() >= 4990 && m.now().raw() <= 5010, "now = {}", m.now());
-        assert_eq!(m.core(0).state(), CoreState::Running);
+    fn halting_at_the_cap_is_not_truncation() {
+        let capped = |src: &str| {
+            let mut m = Machine::with_cpu_config(
+                HierarchyConfig::paper_baseline(1).unwrap(),
+                CpuConfig { max_instructions: 3, ..CpuConfig::default() },
+            );
+            m.load_program(0, Program::parse(src).unwrap());
+            let s = m.run();
+            assert_eq!(m.core(0).state(), CoreState::Halted, "{src:?}");
+            s
+        };
+        assert_eq!(
+            capped("li r1, 1\nli r2, 2\nhalt\n"),
+            RunSummary { cycles: 202, instructions: 3, truncated: false }
+        );
+        // Running off the end is the third step: still a halt, not a cut.
+        assert_eq!(
+            capped("li r1, 1\nli r2, 2\n"),
+            RunSummary { cycles: 202, instructions: 2, truncated: false }
+        );
+    }
+
+    #[test]
+    fn run_takes_the_single_step_schedule() {
+        // Every core runs the same loop over shared lines, a different
+        // number of times, so the cores tie, interleave and flush each
+        // other's lines; `run` must take exactly the schedule of `step`.
+        let program = |trips: usize| {
+            let src = format!(
+                "li r1, 0x9000\nli r4, {trips}\ntop:\nld r2, 0(r1)\nnop\nnop\nnop\n\
+                 st r2, 64(r1)\nflush 0(r1)\nadd r1, r1, 64\nsub r4, r4, 1\nbnz r4, top\nhalt\n"
+            );
+            Program::parse(&src).unwrap()
+        };
+        let build = |cores: usize, model_fetch: bool, cap: u64| {
+            let mut m = Machine::with_cpu_config(
+                HierarchyConfig::paper_baseline(cores).unwrap(),
+                CpuConfig { model_fetch, max_instructions: cap, ..CpuConfig::default() },
+            );
+            m.trace_mut().set_enabled(true);
+            for c in 0..cores {
+                m.set_prefetcher(c, Box::new(TaggedPrefetcher::new(64, 1)));
+                m.load_program(c, program(3 + 2 * c));
+            }
+            m
+        };
+        let uncapped = CpuConfig::default().max_instructions;
+        for cores in 1..=3 {
+            for model_fetch in [true, false] {
+                for cap in [uncapped, 17] {
+                    let case = format!("{cores} cores, fetch modelled {model_fetch}, cap {cap}");
+                    let mut run = build(cores, model_fetch, cap);
+                    run.run();
+                    let mut stepped = build(cores, model_fetch, cap);
+                    let mut steps = 0;
+                    while steps < cap && stepped.step() {
+                        steps += 1;
+                    }
+                    assert_eq!(run.trace().entries(), stepped.trace().entries(), "{case}");
+                    assert!(!run.trace().entries().is_empty(), "{case}");
+                    assert_eq!(run.now(), stepped.now(), "{case}");
+                    for c in 0..cores {
+                        let (r, s) = (run.core(c), stepped.core(c));
+                        assert_eq!(
+                            (r.ready_at(), r.retired()),
+                            (s.ready_at(), s.retired()),
+                            "{case}"
+                        );
+                        assert_eq!(
+                            run.mem().l1i(c).stats(),
+                            stepped.mem().l1i(c).stats(),
+                            "{case}"
+                        );
+                        assert_eq!(
+                            run.mem().l1d(c).stats(),
+                            stepped.mem().l1d(c).stats(),
+                            "{case}"
+                        );
+                    }
+                    assert_eq!(run.mem().l2().stats(), stepped.mem().l2().stats(), "{case}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -82,6 +82,10 @@ pub struct Cache {
     /// *host* machine.
     sets: Vec<CacheLine>,
     assoc: usize,
+    /// Index into `sets` of the last demand hit: a hint for
+    /// [`Cache::repeat_hit`], matched by valid bit and tag (a tag sits in
+    /// at most one way), so no eviction, invalidation or reset clears it.
+    last_hit: usize,
     inflight: crate::hash::Mix64Map<InFlight>,
     /// Completion events mirroring `inflight`, min-ordered by
     /// `(ready_at, line_addr)` so [`Cache::expire_inflight_into`] pops in
@@ -117,6 +121,7 @@ impl Cache {
             cfg,
             sets: vec![CacheLine::empty(); n_sets * assoc],
             assoc,
+            last_hit: 0,
             inflight: crate::hash::Mix64Map::default(),
             completions: BinaryHeap::new(),
             touched_sets: Vec::new(),
@@ -290,6 +295,7 @@ impl Cache {
                     line.prefetched = false;
                     self.stats.prefetch_useful += 1;
                 }
+                self.last_hit = set * self.assoc + way;
                 trace_event(|| TraceEvent::DemandHit {
                     at: u64::from(now),
                     cache: tid,
@@ -326,6 +332,23 @@ impl Cache {
             line: la,
         });
         LookupResult::Miss
+    }
+
+    /// The state change of a [`Cache::demand_lookup`] hit, done in place
+    /// when `addr`'s line sits in the slot of the last demand hit, is not
+    /// tagged as prefetched and the flight recorder is disarmed: refreshes
+    /// the line's recency and returns `true`. Otherwise touches nothing
+    /// and returns `false`, and the caller takes the full lookup (so an
+    /// armed recorder still sees every `DemandHit` event).
+    #[inline]
+    pub(crate) fn repeat_hit(&mut self, addr: Addr, now: Cycle) -> bool {
+        let la = self.line_addr(addr);
+        let line = &mut self.sets[self.last_hit];
+        if line.valid && line.tag == la && !line.prefetched && !prefender_obs::trace_armed() {
+            line.last_touch = now;
+            return true;
+        }
+        false
     }
 
     fn line_mut(&mut self, addr: Addr) -> Option<&mut CacheLine> {

@@ -362,7 +362,23 @@ impl MemorySystem {
     /// # Panics
     ///
     /// Panics if `core` is out of range.
+    #[inline]
     pub fn fetch(&mut self, core: usize, addr: Addr, now: Cycle) -> u64 {
+        // Straight-line code fetches the same line many times in a row:
+        // such a hit is done in place, with the counters the full lookup
+        // would add.
+        let l1i = &mut self.l1i[core];
+        if l1i.repeat_hit(addr, now) {
+            let st = l1i.stats_mut();
+            st.demand_accesses += 1;
+            st.demand_hits += 1;
+            return 0;
+        }
+        self.fetch_lookup(core, addr, now)
+    }
+
+    /// [`MemorySystem::fetch`] through a full L1I lookup.
+    fn fetch_lookup(&mut self, core: usize, addr: Addr, now: Cycle) -> u64 {
         self.l1i[core].stats_mut().demand_accesses += 1;
         match self.l1i[core].demand_lookup(addr, now) {
             LookupResult::Hit { .. } => {
@@ -680,6 +696,66 @@ mod tests {
         m.access(0, a, AccessKind::Read, Cycle::ZERO);
         assert_eq!(m.flush(a, Cycle::new(300)), m.config().l2.hit_latency());
         assert_eq!(m.flush(a, Cycle::new(600)), m.config().l1d.hit_latency(), "absent is cheap");
+    }
+
+    #[test]
+    fn fetch_stalls_and_l1i_stats_are_pinned() {
+        // Repeat hits, conflict misses in one 2-way L1I set, flushes and
+        // L2 back-invalidations, in a fixed order; every stall and the
+        // final L1I counters are pinned.
+        let mut m = MemorySystem::new(HierarchyConfig::tiny(1).unwrap());
+        let mut now = 0u64;
+        let mut stalls = Vec::new();
+        for k in 0..120u64 {
+            let t = Cycle::new(now);
+            let pc = match k % 10 {
+                0..=3 => 0x1000 + 4 * (k % 4),
+                4 => 0x1200,
+                5 => 0x1400,
+                6 => 0x1000,
+                7 => {
+                    m.flush(Addr::new(0x1000), t);
+                    0x1000
+                }
+                8 => {
+                    // Four L2 set conflicts evict the code line from the
+                    // L2, which back-invalidates it from the L1I.
+                    for j in 1..=4u64 {
+                        m.access(0, Addr::new(0x1000 + j * 2048), AccessKind::Read, t);
+                    }
+                    0x1000
+                }
+                _ => 0x1040,
+            };
+            stalls.push(m.fetch(0, Addr::new(pc), t));
+            now += 7 + 60 * (k % 5);
+        }
+        #[rustfmt::skip]
+        let expected: [u64; 120] = [
+            200, 0, 0, 0, 200, 200, 20, 200, 400, 213,
+            0, 0, 0, 0, 20, 20, 20, 200, 400, 0,
+            0, 0, 0, 0, 20, 20, 20, 200, 0, 0,
+            0, 0, 0, 0, 20, 20, 20, 200, 0, 0,
+            0, 0, 0, 0, 20, 20, 20, 200, 0, 0,
+            0, 0, 0, 0, 20, 20, 20, 200, 0, 0,
+            0, 0, 0, 0, 20, 20, 20, 200, 0, 0,
+            0, 0, 0, 0, 20, 20, 20, 200, 400, 0,
+            0, 0, 0, 0, 20, 20, 20, 200, 0, 0,
+            0, 0, 0, 0, 20, 20, 20, 200, 0, 0,
+            0, 0, 0, 0, 20, 20, 20, 200, 0, 0,
+            0, 0, 0, 0, 20, 20, 20, 200, 0, 0,
+        ];
+        assert_eq!(stalls, expected);
+        let s = m.l1i(0).stats();
+        assert_eq!(
+            (s.demand_accesses, s.demand_hits, s.demand_misses, s.demand_miss_latency),
+            (120, 67, 53, 5093)
+        );
+        assert_eq!((s.evictions, s.invalidations, s.flushes), (35, 15, 12));
+        assert_eq!(
+            m.l1i(0).resident_lines(),
+            vec![Addr::new(0x1000), Addr::new(0x1040), Addr::new(0x1400)]
+        );
     }
 
     // Drives one deterministic mixed schedule (accesses, prefetches,
