@@ -395,6 +395,17 @@ mod tests {
         let r = run_scenario(&attack_scenario(DefenseConfig::Full), 0xC0FFEE);
         assert_eq!(r.leaked, Some(false));
         assert!(r.st_prefetches + r.at_prefetches + r.rp_prefetches > 0);
+        // A basic prefetcher alone (the grid's `atk:pp/base/stride` cell).
+        let mut s = attack_scenario(DefenseConfig::None);
+        s.payload = Payload::Attack(AttackCase {
+            kind: AttackKind::PrimeProbe,
+            noise: NoiseSpec::NONE,
+            cross_core: false,
+        });
+        s.basic = Basic::Stride;
+        let r = run_scenario(&s, 0xC0FFEE);
+        assert_eq!((r.leaked, r.anomalies), (Some(false), Some(2)));
+        assert_eq!((r.cycles, r.prefetch_issued), (19_351, 117));
     }
 
     #[test]
@@ -412,6 +423,15 @@ mod tests {
         assert!(!r.truncated);
         assert!(r.prefetch_issued > 0, "tagged must prefetch the stream");
         assert!(r.prefetch_accuracy.unwrap() > 0.5);
+        // Each basic prefetcher alone on 429.mcf: the spec grid's values.
+        for (basic, pinned) in [
+            (Basic::Tagged, (1_751_545, 7_686, 7_800, 7_799)),
+            (Basic::Stride, (728_228, 2_676, 6_813, 6_813)),
+        ] {
+            let s = Scenario { payload: Payload::Workload("429.mcf".into()), basic, ..s.clone() };
+            let r = run_scenario(&s, 1);
+            assert_eq!((r.cycles, r.demand_misses, r.prefetch_issued, r.prefetch_fills), pinned);
+        }
     }
 
     #[test]
