@@ -44,7 +44,7 @@ pub use programs::{
     reload_probe_program, victim_program, ProbeProgram,
 };
 pub use runner::{
-    composed_attack_program, machine_obs, prefender_protected, prefender_stats, run_attack,
-    run_attack_full, run_attack_with_timeline, AttackError, AttackKind, AttackSpec, Basic,
-    DefenseConfig, MachineKey, NoiseSpec, RunMetrics, Runner, TimelinePoint,
+    composed_attack_program, machine_obs, prefender_stats, run_attack, run_attack_full,
+    run_attack_with_timeline, AttackError, AttackKind, AttackSpec, Basic, DefenseConfig,
+    MachineKey, NoiseSpec, RunMetrics, Runner, TimelinePoint,
 };

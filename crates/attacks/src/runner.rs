@@ -3,11 +3,11 @@
 use std::error::Error;
 use std::fmt;
 
-use prefender_core::{Prefender, PrefenderStats};
+use prefender_core::{BasicPrefetcher, Prefender, PrefenderStats};
 use prefender_cpu::Machine;
 use prefender_isa::ProgramBuilder;
 use prefender_obs::{take_thread_trace, trace_armed, ObsCounters, TraceBuf};
-use prefender_prefetch::{Prefetcher, StridePrefetcher, TaggedPrefetcher};
+use prefender_prefetch::{StridePrefetcher, TaggedPrefetcher};
 use prefender_sim::{Addr, CacheStats, ConfigError, HierarchyConfig};
 use prefender_stats::Xoshiro256;
 
@@ -41,7 +41,7 @@ impl fmt::Display for AttackKind {
 }
 
 /// The conventional (basic) prefetcher of a configuration — either alone
-/// or chained under PREFENDER (paper Tables IV–VI columns).
+/// or under PREFENDER (paper Tables IV–VI columns).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum Basic {
     /// No basic prefetcher.
@@ -58,11 +58,11 @@ impl Basic {
     pub const ALL: [Basic; 3] = [Basic::None, Basic::Tagged, Basic::Stride];
 
     /// Builds the basic prefetcher instance, or `None`.
-    pub fn build(self) -> Option<Box<dyn Prefetcher>> {
+    pub fn build(self) -> Option<BasicPrefetcher> {
         match self {
             Basic::None => None,
-            Basic::Tagged => Some(Box::new(TaggedPrefetcher::new(64, 1))),
-            Basic::Stride => Some(Box::new(StridePrefetcher::default_config())),
+            Basic::Tagged => Some(BasicPrefetcher::Tagged(TaggedPrefetcher::new(64, 1))),
+            Basic::Stride => Some(BasicPrefetcher::Stride(StridePrefetcher::default_config())),
         }
     }
 }
@@ -126,22 +126,13 @@ impl DefenseConfig {
         DefenseConfig::Full,
     ];
 
-    /// Builds the per-core PREFENDER instance, or `None` for the baseline.
-    pub fn build_prefender(
-        self,
-        line_size: u64,
-        page_size: u64,
-        buffers: usize,
-    ) -> Option<Prefender> {
-        self.build_prefender_over(line_size, page_size, buffers, Basic::None)
-    }
-
-    /// Like [`DefenseConfig::build_prefender`], but with a basic
-    /// prefetcher chained underneath (the paper's "PREFENDER over
-    /// Tagged/Stride" columns). With [`DefenseConfig::None`] the result is
-    /// `None` regardless of `basic` — use [`Basic::build`] directly for a
-    /// basic-only core.
-    pub fn build_prefender_over(
+    /// The complete per-core prefetcher for a (defense, basic) point:
+    /// PREFENDER's units over `basic` (the paper's "PREFENDER over
+    /// Tagged/Stride" columns), `basic` alone — every unit off — for
+    /// [`DefenseConfig::None`], or nothing at all when both are off. This
+    /// is the one factory the attack runner, the sweep engine and the
+    /// performance tables all build cores from.
+    pub fn build_prefetcher(
         self,
         line_size: u64,
         page_size: u64,
@@ -153,7 +144,10 @@ impl DefenseConfig {
             b = b.basic(p);
         }
         let b = match self {
-            DefenseConfig::None => return None,
+            DefenseConfig::None if basic == Basic::None => return None,
+            DefenseConfig::None => {
+                b.scale_tracker(false).access_tracker(false).record_protector(false)
+            }
             DefenseConfig::St => b.access_tracker(false).record_protector(false),
             DefenseConfig::At => {
                 b.scale_tracker(false).record_protector(false).access_buffers(buffers)
@@ -166,24 +160,6 @@ impl DefenseConfig {
             DefenseConfig::Full => b.access_buffers(buffers),
         };
         Some(b.build())
-    }
-
-    /// The complete per-core prefetcher for a (defense, basic) point:
-    /// PREFENDER with `basic` chained underneath, `basic` alone for
-    /// [`DefenseConfig::None`], or nothing at all. This is the one
-    /// factory the attack runner, the sweep engine and the performance
-    /// tables all build cores from.
-    pub fn build_prefetcher(
-        self,
-        line_size: u64,
-        page_size: u64,
-        buffers: usize,
-        basic: Basic,
-    ) -> Option<Box<dyn Prefetcher>> {
-        match self.build_prefender_over(line_size, page_size, buffers, basic) {
-            Some(p) => Some(Box::new(p)),
-            None => basic.build(),
-        }
     }
 }
 
@@ -353,6 +329,27 @@ pub struct RunMetrics {
 }
 
 impl RunMetrics {
+    /// The metrics of everything `m` has run since it was built or reset.
+    pub fn of(m: &Machine) -> Self {
+        let mut l1d = CacheStats::new();
+        let mut issued = 0u64;
+        let mut prefender = PrefenderStats::new();
+        for c in 0..m.n_cores() {
+            l1d += *m.mem().l1d(c).stats();
+            if let Some(p) = m.prefetcher(c) {
+                issued += p.issued();
+                prefender += p.stats();
+            }
+        }
+        RunMetrics {
+            cycles: m.now().raw(),
+            instructions: (0..m.n_cores()).map(|c| m.core(c).retired()).sum(),
+            l1d,
+            prefetch_issued: issued,
+            prefender,
+        }
+    }
+
     /// Instructions per cycle across the whole machine.
     pub fn ipc(&self) -> f64 {
         if self.cycles == 0 {
@@ -360,28 +357,6 @@ impl RunMetrics {
         } else {
             self.instructions as f64 / self.cycles as f64
         }
-    }
-}
-
-fn run_metrics(m: &Machine) -> RunMetrics {
-    let mut l1d = CacheStats::new();
-    let mut issued = 0u64;
-    let mut prefender = PrefenderStats::new();
-    for c in 0..m.n_cores() {
-        l1d += *m.mem().l1d(c).stats();
-        if let Some(p) = m.prefetcher(c) {
-            issued += p.issued();
-        }
-        if let Some(ps) = prefender_stats(m, c) {
-            prefender += ps;
-        }
-    }
-    RunMetrics {
-        cycles: m.now().raw(),
-        instructions: (0..m.n_cores()).map(|c| m.core(c).retired()).sum(),
-        l1d,
-        prefetch_issued: issued,
-        prefender,
     }
 }
 
@@ -400,28 +375,19 @@ pub struct TimelinePoint {
     pub protected: u64,
 }
 
-/// Reads PREFENDER's per-unit stats out of a machine core, when the
-/// attached prefetcher is a [`Prefender`].
+/// PREFENDER's per-unit stats of a machine core, when it has a prefetcher
+/// (zeros for a basic prefetcher alone).
 pub fn prefender_stats(m: &Machine, core: usize) -> Option<PrefenderStats> {
-    m.prefetcher(core)?.as_any()?.downcast_ref::<Prefender>().map(|p| p.stats())
-}
-
-/// A core's currently protected access buffers (Figure 12's quantity);
-/// 0 when the attached prefetcher is not a [`Prefender`].
-pub fn prefender_protected(m: &Machine, core: usize) -> usize {
-    m.prefetcher(core)
-        .and_then(|p| p.as_any())
-        .and_then(|a| a.downcast_ref::<Prefender>())
-        .map_or(0, |p| p.protected_count())
+    m.prefetcher(core).map(Prefender::stats)
 }
 
 /// Harvests a machine's observability counters into one [`ObsCounters`]
 /// block: demand/eviction and prefetch-outcome stats summed over the L1Ds
 /// and the L2, per-core prefetcher issue counts, hierarchy prefetch drops,
 /// the MSHR high-water mark, the retire fast-path tallies, and — for
-/// PREFENDER cores — the Access Tracker / Record Protector lifecycle
-/// counters. Everything read here is a pure function of the executed
-/// scenario, so the harvest is deterministic and thread-invariant.
+/// cores with an Access Tracker — the Access Tracker / Record Protector
+/// lifecycle counters. Everything read here is a pure function of the
+/// executed scenario, so the harvest is deterministic and thread-invariant.
 pub fn machine_obs(m: &Machine) -> ObsCounters {
     let mem = m.mem();
     let mut stats = mem.total_l1d_stats();
@@ -441,8 +407,7 @@ pub fn machine_obs(m: &Machine) -> ObsCounters {
     for core in 0..m.n_cores() {
         let Some(p) = m.prefetcher(core) else { continue };
         c.prefetch_issued += p.issued();
-        let Some(pf) = p.as_any().and_then(|a| a.downcast_ref::<Prefender>()) else { continue };
-        let Some(at) = pf.access_tracker() else { continue };
+        let Some(at) = p.access_tracker() else { continue };
         let (allocs, evictions) = at.alloc_counts();
         let (incremental, rescans) = at.diffmin_update_counts();
         let (granted, expired) = at.protection_event_counts();
@@ -459,11 +424,9 @@ pub fn machine_obs(m: &Machine) -> ObsCounters {
 fn total_stats(m: &Machine) -> (PrefenderStats, u64) {
     let mut s = PrefenderStats::new();
     let mut protected = 0u64;
-    for c in 0..m.n_cores() {
-        if let Some(cs) = prefender_stats(m, c) {
-            s += cs;
-        }
-        protected += prefender_protected(m, c) as u64;
+    for p in (0..m.n_cores()).filter_map(|c| m.prefetcher(c)) {
+        s += p.stats();
+        protected += p.protected_count() as u64;
     }
     (s, protected)
 }
@@ -730,7 +693,7 @@ impl Runner {
             AttackKind::PrimeProbe if spec.cross_core => (l.hit_threshold, false),
             AttackKind::PrimeProbe => (l.l1_hit_threshold, false),
         };
-        let metrics = run_metrics(m);
+        let metrics = RunMetrics::of(m);
         self.obs.merge(&machine_obs(m));
         Ok((classify(samples, threshold, anomaly_is_hit, l.secret), timeline, metrics))
     }
@@ -982,18 +945,24 @@ mod tests {
 
     #[test]
     fn defense_configs_build_expected_units() {
-        let p = DefenseConfig::Full.build_prefender(64, 4096, 32).unwrap();
+        let build = |d: DefenseConfig, buffers, basic| d.build_prefetcher(64, 4096, buffers, basic);
+        let p = build(DefenseConfig::Full, 32, Basic::None).unwrap();
         assert!(p.scale_tracker().is_some() && p.access_tracker().is_some());
-        assert!(p.record_protector().is_some());
-        let p = DefenseConfig::St.build_prefender(64, 4096, 32).unwrap();
+        assert!(p.record_protector().is_some() && p.basic().is_none());
+        let p = build(DefenseConfig::St, 32, Basic::None).unwrap();
         assert!(p.scale_tracker().is_some() && p.access_tracker().is_none());
         // AT+RP keeps the ST for scale recording (RP links ST and AT),
         // only its prefetching is off.
-        let p = DefenseConfig::AtRp.build_prefender(64, 4096, 16).unwrap();
+        let p = build(DefenseConfig::AtRp, 16, Basic::None).unwrap();
         assert!(p.scale_tracker().is_some());
         assert!(p.record_protector().is_some());
         assert_eq!(p.access_tracker().unwrap().config().n_buffers, 16);
-        assert!(DefenseConfig::None.build_prefender(64, 4096, 32).is_none());
+        assert!(build(DefenseConfig::None, 32, Basic::None).is_none());
+        // A basic prefetcher alone: every PREFENDER unit off.
+        let p = build(DefenseConfig::None, 32, Basic::Stride).unwrap();
+        assert!(p.scale_tracker().is_none() && p.access_tracker().is_none());
+        assert!(p.record_protector().is_none());
+        assert!(matches!(p.basic(), Some(BasicPrefetcher::Stride(_))));
     }
 
     #[test]

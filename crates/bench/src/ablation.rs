@@ -25,7 +25,7 @@ pub fn custom_flush_reload(build: impl Fn() -> Prefender, c3_noise: bool) -> (Ve
     let cpu = CpuConfig { model_fetch: false, ..CpuConfig::default() };
     let mut m =
         Machine::with_cpu_config(HierarchyConfig::paper_baseline(1).expect("valid baseline"), cpu);
-    m.set_prefetcher(0, Box::new(build()));
+    m.set_prefetcher(0, build());
     m.trace_mut().set_enabled(true);
     m.write_data(l.secret_addr, l.secret as u64);
     // Deterministically shuffled probe order (same scheme as the runner).

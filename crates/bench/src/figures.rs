@@ -128,7 +128,7 @@ pub fn figure11(only: Option<&[&str]>) -> Figure11 {
         for basic in [Basic::None, Basic::Tagged, Basic::Stride] {
             let col = PerfColumn { prefender: Some(PrefenderKind::Full { buffers: 32 }), basic };
             let r = run_perf(&w, col, None);
-            let s = r.prefender.expect("PREFENDER column");
+            let s = r.prefender;
             rows.push((
                 w.name().to_string(),
                 basic.to_string(),

@@ -26,12 +26,6 @@ impl SpeedupTable {
         row.1.get(col).copied()
     }
 
-    /// Average speedup of the column labelled `label`.
-    pub fn avg_of(&self, label: &str) -> Option<f64> {
-        let col = self.headers.iter().position(|h| h == label)? - 1;
-        self.avg.get(col).copied()
-    }
-
     /// Renders in the paper's layout.
     pub fn render(&self) -> String {
         let mut t = Table::new(self.headers.clone());

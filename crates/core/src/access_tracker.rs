@@ -57,11 +57,6 @@ impl AccessBuffer {
         self.guided_prefetches = 0;
     }
 
-    /// `true` when the buffer is associated with a load.
-    pub fn is_valid(&self) -> bool {
-        self.valid
-    }
-
     /// The associated load's instruction address.
     pub fn inst_addr(&self) -> u64 {
         self.inst_addr

@@ -26,9 +26,10 @@
 //!   the *hit scale* instead of a possibly-corrupted DiffMin (noisy
 //!   accesses, challenge C4).
 //!
-//! The composed [`Prefender`] implements
-//! [`Prefetcher`](prefender_prefetch::Prefetcher) and optionally chains a
-//! conventional basic prefetcher at lower priority.
+//! The composed [`Prefender`] implements [`Prefetcher`] over an optional
+//! conventional [`BasicPrefetcher`] at lower priority. It is the one
+//! per-core prefetcher type of the machine model: a core with a basic
+//! prefetcher alone runs a `Prefender` with every unit off.
 //!
 //! ```
 //! use prefender_core::Prefender;
@@ -38,8 +39,7 @@
 //!     .access_buffers(32)
 //!     .record_protector(true)
 //!     .build();
-//! assert_eq!(p.name(), "prefender");
-//! # use prefender_prefetch::Prefetcher;
+//! assert!(p.scale_tracker().is_some() && p.basic().is_none());
 //! ```
 
 mod access_tracker;
@@ -60,5 +60,5 @@ pub use record_protector::{RecordProtector, ScaleEntry};
 pub use scale_tracker::ScaleTracker;
 pub use stats::PrefenderStats;
 
-// Re-exported so downstream crates name the trait without an extra dep.
-pub use prefender_prefetch::Prefetcher;
+// Re-exported so downstream crates name these without an extra dep.
+pub use prefender_prefetch::{BasicPrefetcher, Prefetcher};

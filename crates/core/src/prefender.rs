@@ -1,6 +1,6 @@
 //! The composed PREFENDER prefetcher.
 
-use prefender_prefetch::{AccessEvent, PrefetchRequest, Prefetcher, RetireEvent, RetireInterest};
+use prefender_prefetch::{AccessEvent, BasicPrefetcher, PrefetchRequest, Prefetcher, RetireEvent};
 use prefender_sim::{AccessKind, Addr, PrefetchSource};
 
 use crate::access_tracker::AccessTracker;
@@ -10,7 +10,9 @@ use crate::scale_tracker::ScaleTracker;
 use crate::stats::PrefenderStats;
 
 /// The PREFENDER secure prefetcher: Scale Tracker + Access Tracker +
-/// Record Protector, with an optional lower-priority basic prefetcher.
+/// Record Protector, each optional, over an optional lower-priority basic
+/// prefetcher. With every unit off it proposes exactly what its basic
+/// prefetcher proposes: that is how a core runs a basic prefetcher alone.
 ///
 /// Attach one instance per core (per L1D) via
 /// [`Machine::set_prefetcher`](https://docs.rs/prefender-cpu); the machine
@@ -19,40 +21,30 @@ use crate::stats::PrefenderStats;
 /// # Examples
 ///
 /// ```
-/// use prefender_core::Prefender;
-/// use prefender_prefetch::{Prefetcher, StridePrefetcher};
+/// use prefender_core::{BasicPrefetcher, Prefender};
+/// use prefender_prefetch::StridePrefetcher;
 ///
 /// // The paper's Table V column 10 configuration:
 /// // full PREFENDER with a Stride basic prefetcher, 32 access buffers.
 /// let p = Prefender::builder(64, 4096)
 ///     .access_buffers(32)
-///     .basic(Box::new(StridePrefetcher::default_config()))
+///     .basic(BasicPrefetcher::Stride(StridePrefetcher::default_config()))
 ///     .build();
-/// assert_eq!(p.name(), "prefender");
+/// assert!(p.scale_tracker().is_some() && p.record_protector().is_some());
+/// assert_eq!(p.issued(), 0);
 /// ```
+#[derive(Debug, Clone)]
 pub struct Prefender {
     st: Option<ScaleTracker>,
     at: Option<AccessTracker>,
     rp: Option<RecordProtector>,
-    basic: Option<Box<dyn Prefetcher>>,
+    basic: Option<BasicPrefetcher>,
     stats: PrefenderStats,
     line_size: u64,
     /// When false, the Scale Tracker still tracks dataflow and feeds the
     /// Record Protector's scale buffer, but issues no prefetches of its
     /// own — the paper's "PREFENDER-AT+RP" configuration.
     st_prefetching: bool,
-}
-
-impl std::fmt::Debug for Prefender {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Prefender")
-            .field("st", &self.st.is_some())
-            .field("at", &self.at.is_some())
-            .field("rp", &self.rp.is_some())
-            .field("basic", &self.basic.as_ref().map(|b| b.name()))
-            .field("stats", &self.stats)
-            .finish()
-    }
 }
 
 impl Prefender {
@@ -101,39 +93,48 @@ impl Prefender {
     }
 
     /// The basic prefetcher, when attached.
-    pub fn basic(&self) -> Option<&dyn Prefetcher> {
-        self.basic.as_deref()
+    pub fn basic(&self) -> Option<&BasicPrefetcher> {
+        self.basic.as_ref()
     }
 
     /// Number of currently protected access buffers (Figure 12's series).
     pub fn protected_count(&self) -> usize {
         self.at.as_ref().map_or(0, |at| at.protected_count())
     }
+
+    /// Total prefetch requests proposed: every unit's and the basic
+    /// prefetcher's.
+    pub fn issued(&self) -> u64 {
+        self.stats.total() + self.basic.as_ref().map_or(0, BasicPrefetcher::issued)
+    }
+
+    /// Clears every unit's learned state, the basic prefetcher's and the
+    /// counters; the configuration is kept.
+    pub fn reset(&mut self) {
+        if let Some(st) = self.st.as_mut() {
+            st.reset();
+        }
+        if let Some(at) = self.at.as_mut() {
+            at.reset();
+        }
+        if let Some(rp) = self.rp.as_mut() {
+            rp.reset();
+        }
+        if let Some(b) = self.basic.as_mut() {
+            b.reset();
+        }
+        self.stats.reset();
+    }
 }
 
 impl Prefetcher for Prefender {
-    fn name(&self) -> &str {
-        "prefender"
-    }
-
+    /// Only the Scale Tracker observes retires (its Table III rules fire
+    /// for register writers only); neither basic prefetcher does.
+    #[inline]
     fn on_retire(&mut self, ev: &RetireEvent<'_>) {
         if let Some(st) = self.st.as_mut() {
             st.on_retire(ev.instr);
         }
-        if let Some(b) = self.basic.as_mut() {
-            b.on_retire(ev);
-        }
-    }
-
-    fn retire_interest(&self) -> RetireInterest {
-        // The Scale Tracker's Table III rules only fire for instructions
-        // that write a register (everything else leaves the calculation
-        // buffer untouched); the basic prefetcher contributes its own
-        // interest. Without an ST the composite needs whatever the basic
-        // prefetcher needs.
-        let st = if self.st.is_some() { RetireInterest::RegWriters } else { RetireInterest::None };
-        let basic = self.basic.as_ref().map_or(RetireInterest::None, |b| b.retire_interest());
-        st.max(basic)
     }
 
     fn on_access_into(
@@ -192,50 +193,16 @@ impl Prefetcher for Prefender {
             b.on_access_into(ev, resident, out);
         }
     }
-
-    fn issued(&self) -> u64 {
-        self.stats.total() + self.basic.as_ref().map_or(0, |b| b.issued())
-    }
-
-    fn reset(&mut self) {
-        if let Some(st) = self.st.as_mut() {
-            st.reset();
-        }
-        if let Some(at) = self.at.as_mut() {
-            at.reset();
-        }
-        if let Some(rp) = self.rp.as_mut() {
-            rp.reset();
-        }
-        if let Some(b) = self.basic.as_mut() {
-            b.reset();
-        }
-        self.stats.reset();
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
 }
 
 /// Builder for [`Prefender`] — pick units, sizes and a basic prefetcher.
+#[derive(Debug, Clone)]
 pub struct PrefenderBuilder {
     st: Option<StConfig>,
     at: Option<AtConfig>,
     rp: Option<RpConfig>,
-    basic: Option<Box<dyn Prefetcher>>,
+    basic: Option<BasicPrefetcher>,
     st_prefetching: bool,
-}
-
-impl std::fmt::Debug for PrefenderBuilder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PrefenderBuilder")
-            .field("st", &self.st)
-            .field("at", &self.at)
-            .field("rp", &self.rp)
-            .field("basic", &self.basic.as_ref().map(|b| b.name()))
-            .finish()
-    }
 }
 
 impl PrefenderBuilder {
@@ -315,7 +282,7 @@ impl PrefenderBuilder {
 
     /// Attaches a basic prefetcher at lower priority.
     #[must_use]
-    pub fn basic(mut self, p: Box<dyn Prefetcher>) -> Self {
+    pub fn basic(mut self, p: BasicPrefetcher) -> Self {
         self.basic = Some(p);
         self
     }
@@ -433,8 +400,9 @@ mod tests {
     #[test]
     fn basic_prefetcher_runs_at_lower_priority() {
         use prefender_prefetch::TaggedPrefetcher;
-        let mut p =
-            Prefender::builder(64, 4096).basic(Box::new(TaggedPrefetcher::new(64, 1))).build();
+        let mut p = Prefender::builder(64, 4096)
+            .basic(BasicPrefetcher::Tagged(TaggedPrefetcher::new(64, 1)))
+            .build();
         retire_all(&mut p, "ld r1, 0(r0)\nmul r5, r1, 0x200\n");
         let reqs = p.on_access(&load_event(0x8000, 0x10_0800, Reg::R5), &|_| false);
         // ST's two requests come first, then RP's guided prefetch (the
@@ -451,8 +419,9 @@ mod tests {
     #[test]
     fn issued_counts_all_units() {
         use prefender_prefetch::TaggedPrefetcher;
-        let mut p =
-            Prefender::builder(64, 4096).basic(Box::new(TaggedPrefetcher::new(64, 1))).build();
+        let mut p = Prefender::builder(64, 4096)
+            .basic(BasicPrefetcher::Tagged(TaggedPrefetcher::new(64, 1)))
+            .build();
         retire_all(&mut p, "ld r1, 0(r0)\nmul r5, r1, 0x200\n");
         let _ = p.on_access(&load_event(0x8000, 0x10_0800, Reg::R5), &|_| false);
         assert_eq!(p.issued(), p.stats().total() + p.basic().unwrap().issued());

@@ -6,9 +6,10 @@
 //!
 //! * loads block the core for their full load-to-use latency — exactly the
 //!   signal cache side-channel attacks measure;
-//! * a per-core [`Prefetcher`](prefender_prefetch::Prefetcher) observes
-//!   every retired instruction and every L1D access, and its requests are
-//!   issued into the hierarchy;
+//! * a per-core [`Prefender`](prefender_core::Prefender) (PREFENDER's
+//!   units over an optional basic prefetcher) observes every retired
+//!   register writer and every L1D access, and its requests are issued
+//!   into the hierarchy;
 //! * multiple cores interleave in time order, sharing the inclusive L2 —
 //!   the substrate for the paper's cross-core attacks (Figure 4);
 //! * an optional memory-access trace records `(pc, addr, latency)` for the

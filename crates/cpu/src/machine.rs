@@ -2,10 +2,11 @@
 
 use std::fmt;
 
+use prefender_core::{Prefender, Prefetcher};
 use prefender_isa::Instr;
 #[cfg(test)]
 use prefender_isa::Reg;
-use prefender_prefetch::{AccessEvent, PrefetchRequest, Prefetcher, RetireEvent, RetireInterest};
+use prefender_prefetch::{AccessEvent, PrefetchRequest, RetireEvent};
 use prefender_sim::{AccessKind, Addr, Cycle, HierarchyConfig, MemorySystem};
 
 use crate::core_model::{Core, CoreState};
@@ -121,7 +122,7 @@ fn record_access(
 /// buffer is cleared (not shrunk) per access: no allocation once warm.
 fn notify_access(
     mem: &mut MemorySystem,
-    pf: &mut dyn Prefetcher,
+    pf: &mut Prefender,
     scratch: &mut Vec<PrefetchRequest>,
     ev: &AccessEvent,
 ) {
@@ -143,11 +144,7 @@ pub struct Machine {
     cfg: CpuConfig,
     mem: MemorySystem,
     cores: Vec<Core>,
-    prefetchers: Vec<Option<Box<dyn Prefetcher>>>,
-    /// Per-core cache of `prefetchers[c].retire_interest()`, so the
-    /// per-instruction retire gate is one enum compare instead of a
-    /// virtual call.
-    retire_interest: Vec<RetireInterest>,
+    prefetchers: Vec<Option<Prefender>>,
     data: AddrMap,
     trace: MemTrace,
     /// Reusable prefetch-request buffer handed to
@@ -184,7 +181,6 @@ impl Machine {
             mem: MemorySystem::new(hierarchy),
             cores: (0..n).map(Core::new).collect(),
             prefetchers: (0..n).map(|_| None).collect(),
-            retire_interest: vec![RetireInterest::None; n],
             data: AddrMap::default(),
             trace: MemTrace::new(),
             prefetch_scratch: Vec::new(),
@@ -234,15 +230,6 @@ impl Machine {
         &self.cores[core]
     }
 
-    /// Mutable core access (register setup).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `core` is out of range.
-    pub fn core_mut(&mut self, core: usize) -> &mut Core {
-        &mut self.cores[core]
-    }
-
     /// Number of cores.
     pub fn n_cores(&self) -> usize {
         self.cores.len()
@@ -270,8 +257,7 @@ impl Machine {
     /// # Panics
     ///
     /// Panics if `core` is out of range.
-    pub fn set_prefetcher(&mut self, core: usize, p: Box<dyn Prefetcher>) {
-        self.retire_interest[core] = p.retire_interest();
+    pub fn set_prefetcher(&mut self, core: usize, p: Prefender) {
         self.prefetchers[core] = Some(p);
     }
 
@@ -280,20 +266,8 @@ impl Machine {
     /// # Panics
     ///
     /// Panics if `core` is out of range.
-    pub fn prefetcher(&self, core: usize) -> Option<&dyn Prefetcher> {
-        self.prefetchers[core].as_deref()
-    }
-
-    /// Mutable access to `core`'s prefetcher (stat queries on concrete types).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `core` is out of range.
-    pub fn prefetcher_mut(&mut self, core: usize) -> Option<&mut (dyn Prefetcher + '_)> {
-        match self.prefetchers[core].as_mut() {
-            Some(b) => Some(&mut **b),
-            None => None,
-        }
+    pub fn prefetcher(&self, core: usize) -> Option<&Prefender> {
+        self.prefetchers[core].as_ref()
     }
 
     /// Loads `program` on `core`, starting when the core is next free.
@@ -404,9 +378,9 @@ impl Machine {
     ///
     /// `batch_nops` retires a run of consecutive `nop`s (at most the rest
     /// of `budget`) in one dispatch. That is only legal when instruction
-    /// fetch is unmodelled (each fetch would touch the L1I) and the
-    /// core's prefetcher ignores non-register-writing retires — then a
-    /// `nop` has *no* effect beyond `ready_at`/`pc_index`/`retired`
+    /// fetch is unmodelled (each fetch would touch the L1I). A `nop`
+    /// writes no register, so no prefetcher observes its retire: it has
+    /// *no* effect beyond `ready_at`/`pc_index`/`retired`
     /// bookkeeping, so retiring `k` of them at once is indistinguishable
     /// from `k` single steps (including to the other cores: a `nop`
     /// never touches the memory system, so interleaving order against
@@ -422,7 +396,6 @@ impl Machine {
             mem,
             cores,
             prefetchers,
-            retire_interest,
             data,
             trace,
             prefetch_scratch,
@@ -432,8 +405,7 @@ impl Machine {
         let core = &mut cores[c];
         let prog = core.program.as_ref().expect("running core has a program");
         let prefetcher = &mut prefetchers[c];
-        let interest = retire_interest[c];
-        let batch_nops = batch_nops && !cfg.model_fetch && interest != RetireInterest::All;
+        let batch_nops = batch_nops && !cfg.model_fetch;
         let mut pc_index = core.pc_index;
         let mut ready_at = core.ready_at;
         let mut retired = core.retired;
@@ -495,7 +467,7 @@ impl Machine {
                             outcome,
                             now: t,
                         };
-                        notify_access(mem, pf.as_mut(), prefetch_scratch, &ev);
+                        notify_access(mem, pf, prefetch_scratch, &ev);
                     }
                     outcome.latency
                 }
@@ -524,7 +496,7 @@ impl Machine {
                             outcome,
                             now: t,
                         };
-                        notify_access(mem, pf.as_mut(), prefetch_scratch, &ev);
+                        notify_access(mem, pf, prefetch_scratch, &ev);
                     }
                     cfg.store_cost
                 }
@@ -613,12 +585,9 @@ impl Machine {
                 }
             };
 
-            let wanted = match interest {
-                RetireInterest::None => false,
-                RetireInterest::RegWriters => instr.writes_reg(),
-                RetireInterest::All => true,
-            };
-            if wanted {
+            // Only the Scale Tracker observes retires, and only register
+            // writers: a direct call, no other instruction notifies.
+            if instr.writes_reg() {
                 if let Some(pf) = prefetcher.as_mut() {
                     pf.on_retire(&RetireEvent { core: c, pc, instr: &instr, now: t });
                 }
@@ -642,11 +611,22 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use prefender_core::BasicPrefetcher;
     use prefender_isa::Program;
     use prefender_prefetch::TaggedPrefetcher;
 
     fn machine() -> Machine {
         Machine::new(HierarchyConfig::paper_baseline(1).unwrap())
+    }
+
+    /// A Tagged prefetcher alone: PREFENDER with every unit off.
+    fn tagged() -> Prefender {
+        Prefender::builder(64, 4096)
+            .scale_tracker(false)
+            .access_tracker(false)
+            .record_protector(false)
+            .basic(BasicPrefetcher::Tagged(TaggedPrefetcher::new(64, 1)))
+            .build()
     }
 
     #[test]
@@ -774,7 +754,7 @@ mod tests {
     #[test]
     fn prefetcher_receives_events_and_prefetches() {
         let mut m = machine();
-        m.set_prefetcher(0, Box::new(TaggedPrefetcher::new(64, 1)));
+        m.set_prefetcher(0, tagged());
         m.trace_mut().set_enabled(true);
         // Miss on 0x9000 triggers next-line prefetch of 0x9040; a later
         // access to 0x9040 should be (at least partially) covered.
@@ -909,7 +889,7 @@ mod tests {
             );
             m.trace_mut().set_enabled(true);
             for c in 0..cores {
-                m.set_prefetcher(c, Box::new(TaggedPrefetcher::new(64, 1)));
+                m.set_prefetcher(c, tagged());
                 m.load_program(c, program(3 + 2 * c));
             }
             m
@@ -978,7 +958,7 @@ mod tests {
     fn reset_replays_bit_identically_to_fresh() {
         let build = || {
             let mut m = Machine::new(HierarchyConfig::paper_baseline(1).unwrap());
-            m.set_prefetcher(0, Box::new(TaggedPrefetcher::new(64, 1)));
+            m.set_prefetcher(0, tagged());
             m.trace_mut().set_enabled(true);
             m
         };

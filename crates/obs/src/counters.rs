@@ -16,16 +16,20 @@ use crate::snapshot::Value;
 /// 1-vs-8-thread equality.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ObsCounters {
-    /// Demand accesses that hit, summed over every cache level.
+    /// Demand accesses that hit, summed over the L1Ds and the L2 (the
+    /// L1I's instruction fetches are not counted).
     pub cache_demand_hits: u64,
-    /// Demand accesses that missed, summed over every cache level.
+    /// Demand accesses that missed, summed over the L1Ds and the L2.
     pub cache_demand_misses: u64,
-    /// Lines evicted by fills, summed over every cache level.
+    /// Lines evicted by fills, summed over the L1Ds and the L2.
     pub cache_evictions: u64,
-    /// Prefetch requests the memory system accepted (all units + basic).
+    /// Prefetch requests proposed, summed over every core's prefetcher
+    /// (all units + basic) — including the ones the memory system then
+    /// declined, which [`prefetch_dropped`](ObsCounters::prefetch_dropped)
+    /// counts.
     pub prefetch_issued: u64,
-    /// Prefetch requests dropped because the line was already present or
-    /// in flight.
+    /// Proposed prefetch requests the memory system declined because the
+    /// line was already present or in flight.
     pub prefetch_dropped: u64,
     /// Demand accesses that hit an in-flight prefetch (late but useful).
     pub prefetch_late: u64,

@@ -1,17 +1,17 @@
 //! # prefender-prefetch — prefetcher interface and classic baselines
 //!
-//! Defines the [`Prefetcher`] trait through which the CPU model feeds two
-//! event streams to any prefetcher sitting at a core's L1D:
+//! Defines the [`Prefetcher`] trait, through which a prefetcher at a core's
+//! L1D observes two event streams:
 //!
-//! * **retire events** — every executed instruction (PREFENDER's Scale
-//!   Tracker consumes these to track register dataflow);
+//! * **retire events** — retired instructions that write a register
+//!   (PREFENDER's Scale Tracker consumes these to track register dataflow);
 //! * **access events** — every demand L1D access with its observed latency
 //!   and hit level (all prefetchers consume these).
 //!
 //! Two classic baselines used by the paper's Tables IV–VI are provided:
 //! the [`TaggedPrefetcher`] (Smith, 1978) and the Baer–Chen
-//! [`StridePrefetcher`] (1991), plus a [`NullPrefetcher`] and a
-//! priority-ordered [`Chain`].
+//! [`StridePrefetcher`] (1991). [`BasicPrefetcher`] is the closed set of
+//! the two that PREFENDER sits over (`prefender-core`).
 //!
 //! ```
 //! use prefender_prefetch::{Prefetcher, TaggedPrefetcher, AccessEvent};
@@ -36,63 +36,27 @@
 //! assert_eq!(reqs[0].addr, Addr::new(0x1040)); // next-line prefetch
 //! ```
 
-mod chain;
 mod event;
-mod null;
 mod stride;
 mod tagged;
 
-pub use chain::Chain;
 pub use event::{AccessEvent, PrefetchRequest, RetireEvent};
-pub use null::NullPrefetcher;
 pub use stride::{StrideEntry, StridePrefetcher, StrideState};
 pub use tagged::TaggedPrefetcher;
 
 use prefender_sim::Addr;
 
-/// Which retired instructions a prefetcher wants to observe through
-/// [`Prefetcher::on_retire`].
+/// The event interface of a prefetcher at one core's L1D: the composed
+/// PREFENDER and the basic prefetchers alike.
 ///
-/// The machine model asks once per attached prefetcher and skips the
-/// retire notification (the `RetireEvent` construction and virtual call,
-/// paid on **every** instruction) for instructions the prefetcher
-/// declares it ignores. Declaring an interest is a contract: `on_retire`
-/// must be a no-op for every instruction outside the declared class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
-pub enum RetireInterest {
-    /// `on_retire` is a no-op (the trait default): never notify.
-    None,
-    /// Only instructions that write an architectural register matter
-    /// (`Instr::writes_reg`) — a register-dataflow tracker's class.
-    RegWriters,
-    /// Every retired instruction matters.
-    #[default]
-    All,
-}
-
-/// A hardware prefetcher attached to one core's L1D cache.
-///
-/// Implementations receive retire and access events and return
+/// Implementations receive retire and access events and propose
 /// [`PrefetchRequest`]s; the machine model issues them into the hierarchy
 /// (deduplicated against lines already present or in flight).
-///
-/// The trait is object-safe: the machine stores `Box<dyn Prefetcher>`.
-/// It is `Send`, so a machine and the runner owning it can be lent to a
-/// worker thread.
-pub trait Prefetcher: Send {
-    /// Short name for stats output (e.g. `"stride"`).
-    fn name(&self) -> &str;
-
-    /// Observes one retired instruction. Default: ignore.
+pub trait Prefetcher {
+    /// Observes one retired instruction. The machine model reports only
+    /// instructions that write a register (`Instr::writes_reg`): no other
+    /// instruction changes a prefetcher's state. Default: ignore.
     fn on_retire(&mut self, _ev: &RetireEvent<'_>) {}
-
-    /// Which retired instructions [`Prefetcher::on_retire`] cares about.
-    /// The conservative default is [`RetireInterest::All`]; prefetchers
-    /// whose `on_retire` ignores some (or every) instruction class
-    /// should narrow this so the machine can skip the call entirely.
-    fn retire_interest(&self) -> RetireInterest {
-        RetireInterest::All
-    }
 
     /// Observes one demand L1D access and appends proposed prefetches to
     /// `out` — the allocation-free form the machine model drives with a
@@ -103,10 +67,9 @@ pub trait Prefetcher: Send {
     /// (or in flight to) this core's L1D — the "not currently in the L1D
     /// cache" test of the paper.
     ///
-    /// Implementations must only *append* to `out`: composed prefetchers
-    /// ([`Chain`], PREFENDER over a basic prefetcher) pass one shared
-    /// buffer down their member stack to concatenate requests in
-    /// priority order.
+    /// Implementations must only *append* to `out`: PREFENDER passes one
+    /// shared buffer to its units and then to its basic prefetcher, to
+    /// concatenate their requests in priority order.
     fn on_access_into(
         &mut self,
         ev: &AccessEvent,
@@ -126,28 +89,46 @@ pub trait Prefetcher: Send {
         self.on_access_into(ev, resident, &mut out);
         out
     }
+}
 
+/// A basic (conventional) prefetcher: the closed set PREFENDER sits over
+/// in the paper's Tables IV–VI, dispatched by `match`.
+#[derive(Debug, Clone)]
+pub enum BasicPrefetcher {
+    /// The Tagged next-line prefetcher (paper reference [15]).
+    Tagged(TaggedPrefetcher),
+    /// The Baer–Chen stride prefetcher (paper reference [16]).
+    Stride(StridePrefetcher),
+}
+
+impl BasicPrefetcher {
     /// Total prefetch requests this prefetcher has proposed.
-    fn issued(&self) -> u64;
+    pub fn issued(&self) -> u64 {
+        match self {
+            BasicPrefetcher::Tagged(p) => p.issued(),
+            BasicPrefetcher::Stride(p) => p.issued(),
+        }
+    }
 
-    /// Clears internal learning state (buffers, tables) and counters.
-    fn reset(&mut self);
-
-    /// Downcast hook: implementations with richer statistics (PREFENDER's
-    /// per-unit counters) return `Some(self)` so harnesses can recover the
-    /// concrete type from a `Box<dyn Prefetcher>`.
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        None
+    /// Clears internal learning state (tables) and counters.
+    pub fn reset(&mut self) {
+        match self {
+            BasicPrefetcher::Tagged(p) => p.reset(),
+            BasicPrefetcher::Stride(p) => p.reset(),
+        }
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn trait_is_object_safe() {
-        let b: Box<dyn Prefetcher> = Box::new(NullPrefetcher::new());
-        assert_eq!(b.name(), "null");
+impl Prefetcher for BasicPrefetcher {
+    fn on_access_into(
+        &mut self,
+        ev: &AccessEvent,
+        resident: &dyn Fn(Addr) -> bool,
+        out: &mut Vec<PrefetchRequest>,
+    ) {
+        match self {
+            BasicPrefetcher::Tagged(p) => p.on_access_into(ev, resident, out),
+            BasicPrefetcher::Stride(p) => p.on_access_into(ev, resident, out),
+        }
     }
 }

@@ -86,13 +86,20 @@ impl StridePrefetcher {
     pub fn entry(&self, pc: u64) -> &StrideEntry {
         &self.table[self.slot(pc)]
     }
+
+    /// Total prefetch requests this prefetcher has proposed.
+    pub fn issued(&self) -> u64 {
+        self.issued
+    }
+
+    /// Clears the reference prediction table and the issue counter.
+    pub fn reset(&mut self) {
+        self.table.fill(StrideEntry::default());
+        self.issued = 0;
+    }
 }
 
 impl Prefetcher for StridePrefetcher {
-    fn name(&self) -> &str {
-        "stride"
-    }
-
     fn on_access_into(
         &mut self,
         ev: &AccessEvent,
@@ -157,19 +164,6 @@ impl Prefetcher for StridePrefetcher {
             }
         }
         self.issued += (out.len() - before) as u64;
-    }
-
-    fn retire_interest(&self) -> crate::RetireInterest {
-        crate::RetireInterest::None
-    }
-
-    fn issued(&self) -> u64 {
-        self.issued
-    }
-
-    fn reset(&mut self) {
-        self.table.fill(StrideEntry::default());
-        self.issued = 0;
     }
 }
 

@@ -37,13 +37,19 @@ impl TaggedPrefetcher {
     pub fn degree(&self) -> u32 {
         self.degree
     }
+
+    /// Total prefetch requests this prefetcher has proposed.
+    pub fn issued(&self) -> u64 {
+        self.issued
+    }
+
+    /// Clears the issue counter (the prefetcher keeps no other state).
+    pub fn reset(&mut self) {
+        self.issued = 0;
+    }
 }
 
 impl Prefetcher for TaggedPrefetcher {
-    fn name(&self) -> &str {
-        "tagged"
-    }
-
     fn on_access_into(
         &mut self,
         ev: &AccessEvent,
@@ -70,18 +76,6 @@ impl Prefetcher for TaggedPrefetcher {
             }
         }
         self.issued += (out.len() - before) as u64;
-    }
-
-    fn retire_interest(&self) -> crate::RetireInterest {
-        crate::RetireInterest::None
-    }
-
-    fn issued(&self) -> u64 {
-        self.issued
-    }
-
-    fn reset(&mut self) {
-        self.issued = 0;
     }
 }
 

@@ -7,10 +7,9 @@
 
 use std::fmt;
 
-use prefender_attacks::{prefender_protected, DefenseConfig};
-use prefender_core::PrefenderStats;
+use prefender_attacks::DefenseConfig;
+use prefender_core::{Prefender, PrefenderStats};
 use prefender_cpu::Machine;
-use prefender_prefetch::Prefetcher;
 use prefender_sim::{CacheStats, HierarchyConfig};
 use prefender_workloads::Workload;
 
@@ -46,7 +45,7 @@ impl PerfColumn {
     pub const BASELINE: PerfColumn = PerfColumn { prefender: None, basic: Basic::None };
 
     /// Builds the per-core prefetcher for this column, `None` for baseline.
-    pub fn build(&self) -> Option<Box<dyn Prefetcher>> {
+    pub fn build(&self) -> Option<Prefender> {
         let (buffers, config) = match self.prefender {
             None => (32, DefenseConfig::None),
             Some(PrefenderKind::StAt { buffers }) => (buffers, DefenseConfig::StAt),
@@ -79,8 +78,8 @@ pub struct PerfResult {
     pub instructions: u64,
     /// L1D statistics (Figure 10 reads `demand_miss_latency`).
     pub l1d: CacheStats,
-    /// PREFENDER per-unit prefetch counts, when a PREFENDER ran.
-    pub prefender: Option<PrefenderStats>,
+    /// PREFENDER per-unit prefetch counts (zeros without PREFENDER units).
+    pub prefender: PrefenderStats,
     /// Sampled `(cycle, protected-buffer-count)` series, when requested
     /// (Figure 12).
     pub protected_series: Vec<(u64, u64)>,
@@ -104,13 +103,14 @@ pub fn run_perf(workload: &Workload, column: PerfColumn, sample_every: Option<u6
         }
         Some(bucket) => {
             let mut next = bucket;
+            let protected = |m: &Machine| m.prefetcher(0).map_or(0, Prefender::protected_count);
             while m.step() {
                 if m.now().raw() >= next {
-                    protected_series.push((m.now().raw(), prefender_protected(&m, 0) as u64));
+                    protected_series.push((m.now().raw(), protected(&m) as u64));
                     next += bucket;
                 }
             }
-            protected_series.push((m.now().raw(), prefender_protected(&m, 0) as u64));
+            protected_series.push((m.now().raw(), protected(&m) as u64));
         }
     }
 
@@ -118,7 +118,7 @@ pub fn run_perf(workload: &Workload, column: PerfColumn, sample_every: Option<u6
         cycles: m.now().raw(),
         instructions: m.core(0).retired(),
         l1d: *m.mem().l1d(0).stats(),
-        prefender: prefender_stats(&m, 0),
+        prefender: prefender_stats(&m, 0).unwrap_or_default(),
         protected_series,
     }
 }
@@ -185,7 +185,7 @@ mod tests {
             p.cycles,
             base.cycles
         );
-        assert!(p.prefender.unwrap().st_prefetches > 0, "the ST must have fired");
+        assert!(p.prefender.st_prefetches > 0, "the ST must have fired");
     }
 
     #[test]

@@ -312,18 +312,9 @@ fn run_workload_scenario(s: &Scenario, name: &str, seed: u64) -> (ScenarioResult
         m.set_prefetcher(0, p);
     }
     w.install(&mut m);
-    let summary = m.run();
-    let metrics = RunMetrics {
-        cycles: summary.cycles,
-        instructions: summary.instructions,
-        l1d: *m.mem().l1d(0).stats(),
-        prefetch_issued: m.prefetcher(0).map_or(0, |p| p.issued()),
-        prefender: crate::perf::prefender_stats(&m, 0).unwrap_or_default(),
-    };
-    let result = ScenarioResult {
-        truncated: summary.truncated,
-        ..ScenarioResult::from_metrics(s, seed, &metrics)
-    };
+    let truncated = m.run().truncated;
+    let result =
+        ScenarioResult { truncated, ..ScenarioResult::from_metrics(s, seed, &RunMetrics::of(&m)) };
     (result, machine_obs(&m))
 }
 

@@ -61,12 +61,6 @@ impl TaintSpec {
         self
     }
 
-    /// Adds a memory-range source.
-    pub fn with_range(mut self, start: u64, end: u64) -> TaintSpec {
-        self.ranges.push(MemRange { start, end });
-        self
-    }
-
     /// `true` when a load at `addr` reads declared secret memory.
     pub(crate) fn mem_source(&self, addr: u64) -> bool {
         self.ranges.iter().any(|r| r.contains(addr))

@@ -6,13 +6,14 @@
 //! cargo run --release --example performance_sweep
 //! ```
 
+use prefender::attacks::Basic;
 use prefender::stats::{speedup_pct, Table};
 use prefender::{
-    spec2006, HierarchyConfig, Machine, Prefender, Prefetcher, StridePrefetcher, TaggedPrefetcher,
-    Workload,
+    spec2006, BasicPrefetcher, DefenseConfig, HierarchyConfig, Machine, Prefender,
+    StridePrefetcher, Workload,
 };
 
-fn run_once(w: &Workload, prefetcher: Option<Box<dyn Prefetcher>>) -> u64 {
+fn run_once(w: &Workload, prefetcher: Option<Prefender>) -> u64 {
     let mut m = Machine::new(HierarchyConfig::paper_baseline(1).expect("valid baseline"));
     if let Some(p) = prefetcher {
         m.set_prefetcher(0, p);
@@ -21,19 +22,16 @@ fn run_once(w: &Workload, prefetcher: Option<Box<dyn Prefetcher>>) -> u64 {
     m.run().cycles
 }
 
-type BuildFn = fn() -> Box<dyn Prefetcher>;
+type BuildFn = fn() -> Option<Prefender>;
 
 fn main() {
     let configs: Vec<(&str, BuildFn)> = vec![
-        ("Tagged", || Box::new(TaggedPrefetcher::new(64, 1))),
-        ("Stride", || Box::new(StridePrefetcher::default_config())),
-        ("Prefender", || Box::new(Prefender::builder(64, 4096).build())),
+        ("Tagged", || DefenseConfig::None.build_prefetcher(64, 4096, 32, Basic::Tagged)),
+        ("Stride", || DefenseConfig::None.build_prefetcher(64, 4096, 32, Basic::Stride)),
+        ("Prefender", || Some(Prefender::builder(64, 4096).build())),
         ("Prefender(Stride)", || {
-            Box::new(
-                Prefender::builder(64, 4096)
-                    .basic(Box::new(StridePrefetcher::default_config()))
-                    .build(),
-            )
+            let stride = BasicPrefetcher::Stride(StridePrefetcher::default_config());
+            Some(Prefender::builder(64, 4096).basic(stride).build())
         }),
     ];
 
@@ -45,7 +43,7 @@ fn main() {
         let base = run_once(&w, None);
         let mut cells = vec![w.name().to_string(), base.to_string()];
         for (_, build) in &configs {
-            let cycles = run_once(&w, Some(build()));
+            let cycles = run_once(&w, build());
             cells.push(format!("{:+.2}%", speedup_pct(base as f64, cycles as f64)));
         }
         table.row(cells);

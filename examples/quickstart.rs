@@ -5,7 +5,9 @@
 //! cargo run --example quickstart
 //! ```
 
-use prefender::{HierarchyConfig, Machine, Prefender, Program, Reg, StridePrefetcher};
+use prefender::{
+    BasicPrefetcher, HierarchyConfig, Machine, Prefender, Program, Reg, StridePrefetcher,
+};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. The paper's baseline hierarchy: 32 KB L1I + 64 KB L1D per core,
@@ -16,9 +18,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    prefetcher underneath — the paper's Table V column 10 setup.
     let prefender = Prefender::builder(64, 4096)
         .access_buffers(32)
-        .basic(Box::new(StridePrefetcher::default_config()))
+        .basic(BasicPrefetcher::Stride(StridePrefetcher::default_config()))
         .build();
-    machine.set_prefetcher(0, Box::new(prefender));
+    machine.set_prefetcher(0, prefender);
 
     // 3. Assemble a program. This one walks an array the way a victim's
     //    secret-dependent load would: address = base + secret * 0x200.

@@ -136,6 +136,6 @@ pub use prefender_core::{
 };
 pub use prefender_cpu::{CpuConfig, Machine, RunSummary};
 pub use prefender_isa::{Instr, Program, ProgramBuilder, Reg};
-pub use prefender_prefetch::{NullPrefetcher, StridePrefetcher, TaggedPrefetcher};
+pub use prefender_prefetch::{BasicPrefetcher, StridePrefetcher, TaggedPrefetcher};
 pub use prefender_sim::{Addr, Cycle, HierarchyConfig, MemorySystem};
 pub use prefender_workloads::{spec2006, spec2017, Workload};

@@ -1,11 +1,12 @@
 //! End-to-end flows through the facade: the README's claims, executable.
 
 use prefender::{
-    run_attack, spec2006, spec2017, AttackKind, AttackSpec, DefenseConfig, HierarchyConfig,
-    Machine, Prefender, Prefetcher, Program, Reg, StridePrefetcher, TaggedPrefetcher, Workload,
+    run_attack, spec2006, spec2017, AttackKind, AttackSpec, BasicPrefetcher, DefenseConfig,
+    HierarchyConfig, Machine, Prefender, Program, Reg, StridePrefetcher, TaggedPrefetcher,
+    Workload,
 };
 
-fn cycles(w: &Workload, prefetcher: Option<Box<dyn Prefetcher>>) -> u64 {
+fn cycles(w: &Workload, prefetcher: Option<Prefender>) -> u64 {
     let mut m = Machine::new(HierarchyConfig::paper_baseline(1).unwrap());
     if let Some(p) = prefetcher {
         m.set_prefetcher(0, p);
@@ -26,7 +27,7 @@ fn headline_claim_security_and_performance() {
     let mut defended_total = 0u64;
     for w in spec2006() {
         base_total += cycles(&w, None);
-        defended_total += cycles(&w, Some(Box::new(Prefender::builder(64, 4096).build())));
+        defended_total += cycles(&w, Some(Prefender::builder(64, 4096).build()));
     }
     assert!(
         defended_total <= base_total,
@@ -40,9 +41,7 @@ fn scale_tracker_accelerates_gather_workloads() {
     let base = cycles(&parest, None);
     let st_only = cycles(
         &parest,
-        Some(Box::new(
-            Prefender::builder(64, 4096).access_tracker(false).record_protector(false).build(),
-        )),
+        Some(Prefender::builder(64, 4096).access_tracker(false).record_protector(false).build()),
     );
     assert!(
         (st_only as f64) < base as f64 * 0.97,
@@ -55,7 +54,7 @@ fn compute_bound_workloads_are_untouched() {
     for name in ["999.specrand", "548.exchange2_r"] {
         let w = spec2006().into_iter().chain(spec2017()).find(|w| w.name() == name).unwrap();
         let base = cycles(&w, None);
-        let defended = cycles(&w, Some(Box::new(Prefender::builder(64, 4096).build())));
+        let defended = cycles(&w, Some(Prefender::builder(64, 4096).build()));
         assert_eq!(base, defended, "{name} must be cycle-identical");
     }
 }
@@ -67,11 +66,11 @@ fn prefender_stacks_on_conventional_prefetchers() {
     let w = spec2006().into_iter().find(|w| w.name() == "401.bzip2").unwrap();
     let base = cycles(&w, None);
     for basic in [
-        Box::new(TaggedPrefetcher::new(64, 1)) as Box<dyn Prefetcher>,
-        Box::new(StridePrefetcher::default_config()),
+        BasicPrefetcher::Tagged(TaggedPrefetcher::new(64, 1)),
+        BasicPrefetcher::Stride(StridePrefetcher::default_config()),
     ] {
         let stacked = Prefender::builder(64, 4096).basic(basic).build();
-        let c = cycles(&w, Some(Box::new(stacked)));
+        let c = cycles(&w, Some(stacked));
         assert!(c < base, "stacked configuration must still help bzip2");
     }
 }
@@ -79,7 +78,7 @@ fn prefender_stacks_on_conventional_prefetchers() {
 #[test]
 fn assembled_victim_triggers_scale_tracker_end_to_end() {
     let mut m = Machine::new(HierarchyConfig::paper_baseline(1).unwrap());
-    m.set_prefetcher(0, Box::new(Prefender::builder(64, 4096).build()));
+    m.set_prefetcher(0, Prefender::builder(64, 4096).build());
     m.write_data(0x2000, 12);
     m.load_program(
         0,
@@ -110,7 +109,7 @@ fn assembled_victim_triggers_scale_tracker_end_to_end() {
 fn full_machine_runs_are_deterministic() {
     let run = || {
         let w = spec2006().into_iter().find(|w| w.name() == "429.mcf").unwrap();
-        cycles(&w, Some(Box::new(Prefender::builder(64, 4096).build())))
+        cycles(&w, Some(Prefender::builder(64, 4096).build()))
     };
     assert_eq!(run(), run());
 }
