@@ -870,21 +870,42 @@ mod tests {
         );
     }
 
+    /// Three code lines of one set of the tiny 2-way L1I, 128
+    /// instructions apart (the gaps are never executed), visited A, B, A,
+    /// C each trip, with a load, a store and a flush of line B: which
+    /// line C's miss evicts depends on when line A was last fetched.
+    fn one_set_code_lines(trips: usize) -> Program {
+        let pad = |from: usize, to: usize| "nop\n".repeat(to - from);
+        let src = format!(
+            "li r1, 0x8200\nli r4, {trips}\ntop:\nadd r3, r3, 1\nxor r5, r3, r4\njmp lb\n\
+             la:\nshl r6, r3, 2\nor r6, r6, 1\njmp lc\n{}\
+             lb:\nld r2, 0(r1)\nadd r3, r3, r2\nst r3, 8(r1)\nmul r5, r3, 3\njmp la\n{}\
+             lc:\nflush 0(r1)\nsub r4, r4, 1\nbnz r4, top\nhalt\n",
+            pad(8, 128),
+            pad(128 + 5, 256),
+        );
+        Program::parse(&src).unwrap()
+    }
+
     #[test]
     fn run_takes_the_single_step_schedule() {
         // Every core runs the same loop over shared lines, a different
         // number of times, so the cores tie, interleave and flush each
         // other's lines; `run` must take exactly the schedule of `step`.
-        let program = |trips: usize| {
+        fn strided(trips: usize) -> Program {
             let src = format!(
                 "li r1, 0x9000\nli r4, {trips}\ntop:\nld r2, 0(r1)\nnop\nnop\nnop\n\
                  st r2, 64(r1)\nflush 0(r1)\nadd r1, r1, 64\nsub r4, r4, 1\nbnz r4, top\nhalt\n"
             );
             Program::parse(&src).unwrap()
-        };
-        let build = |cores: usize, model_fetch: bool, cap: u64| {
+        }
+        type Input = (
+            fn(usize) -> Result<HierarchyConfig, prefender_sim::ConfigError>,
+            fn(usize) -> Program,
+        );
+        let build = |(hierarchy, program): Input, cores: usize, model_fetch: bool, cap: u64| {
             let mut m = Machine::with_cpu_config(
-                HierarchyConfig::paper_baseline(cores).unwrap(),
+                hierarchy(cores).unwrap(),
                 CpuConfig { model_fetch, max_instructions: cap, ..CpuConfig::default() },
             );
             m.trace_mut().set_enabled(true);
@@ -895,42 +916,73 @@ mod tests {
             m
         };
         let uncapped = CpuConfig::default().max_instructions;
-        for cores in 1..=3 {
-            for model_fetch in [true, false] {
-                for cap in [uncapped, 17] {
-                    let case = format!("{cores} cores, fetch modelled {model_fetch}, cap {cap}");
-                    let mut run = build(cores, model_fetch, cap);
-                    run.run();
-                    let mut stepped = build(cores, model_fetch, cap);
-                    let mut steps = 0;
-                    while steps < cap && stepped.step() {
-                        steps += 1;
+        let strided: Input = (HierarchyConfig::paper_baseline, strided);
+        let code_lines: Input = (HierarchyConfig::tiny, one_set_code_lines);
+        for (name, input) in [("strided", strided), ("code lines", code_lines)] {
+            for cores in 1..=3 {
+                for model_fetch in [true, false] {
+                    for cap in [uncapped, 17] {
+                        let case = format!(
+                            "{name}: {cores} cores, fetch modelled {model_fetch}, cap {cap}"
+                        );
+                        let mut run = build(input, cores, model_fetch, cap);
+                        run.run();
+                        let mut stepped = build(input, cores, model_fetch, cap);
+                        let mut steps = 0;
+                        while steps < cap && stepped.step() {
+                            steps += 1;
+                        }
+                        assert_eq!(run.trace().entries(), stepped.trace().entries(), "{case}");
+                        assert!(!run.trace().entries().is_empty(), "{case}");
+                        assert_eq!(run.now(), stepped.now(), "{case}");
+                        for c in 0..cores {
+                            let (r, s) = (run.core(c), stepped.core(c));
+                            assert_eq!(
+                                (r.ready_at(), r.retired()),
+                                (s.ready_at(), s.retired()),
+                                "{case}"
+                            );
+                            let (rm, sm) = (run.mem(), stepped.mem());
+                            assert_eq!(rm.l1i(c).stats(), sm.l1i(c).stats(), "{case}");
+                            assert_eq!(
+                                rm.l1i(c).resident_lines(),
+                                sm.l1i(c).resident_lines(),
+                                "{case}"
+                            );
+                            assert_eq!(rm.l1d(c).stats(), sm.l1d(c).stats(), "{case}");
+                        }
+                        assert_eq!(run.mem().l2().stats(), stepped.mem().l2().stats(), "{case}");
                     }
-                    assert_eq!(run.trace().entries(), stepped.trace().entries(), "{case}");
-                    assert!(!run.trace().entries().is_empty(), "{case}");
-                    assert_eq!(run.now(), stepped.now(), "{case}");
-                    for c in 0..cores {
-                        let (r, s) = (run.core(c), stepped.core(c));
-                        assert_eq!(
-                            (r.ready_at(), r.retired()),
-                            (s.ready_at(), s.retired()),
-                            "{case}"
-                        );
-                        assert_eq!(
-                            run.mem().l1i(c).stats(),
-                            stepped.mem().l1i(c).stats(),
-                            "{case}"
-                        );
-                        assert_eq!(
-                            run.mem().l1d(c).stats(),
-                            stepped.mem().l1d(c).stats(),
-                            "{case}"
-                        );
-                    }
-                    assert_eq!(run.mem().l2().stats(), stepped.mem().l2().stats(), "{case}");
                 }
             }
         }
+
+        // No artifact records the L1I counters, so the code-lines run on
+        // one core is pinned as golden values.
+        let mut m = build(code_lines, 1, true, uncapped);
+        assert_eq!(m.run(), RunSummary { cycles: 1207, instructions: 45, truncated: false });
+        let stats = |s: &prefender_sim::CacheStats| {
+            [
+                s.demand_accesses,
+                s.demand_hits,
+                s.demand_misses,
+                s.demand_miss_latency,
+                s.evictions,
+                s.invalidations,
+                s.flushes,
+                s.writebacks,
+                s.prefetch_fills,
+                s.prefetch_useful,
+                s.prefetch_late,
+                s.prefetch_unused,
+            ]
+        };
+        // Line C's misses evict line B, never the line A fetched after it,
+        // so the flush of B never finds it in the L1I.
+        assert_eq!(stats(m.mem().l1i(0).stats()), [45, 38, 7, 1040, 5, 0, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(stats(m.mem().l1d(0).stats()), [6, 3, 3, 60, 0, 3, 3, 0, 1, 0, 0, 0]);
+        assert_eq!(stats(m.mem().l2().stats()), [10, 5, 5, 1000, 0, 3, 3, 3, 1, 0, 0, 0]);
+        assert_eq!(m.mem().l1i(0).resident_lines(), vec![Addr::new(0x8000), Addr::new(0x8400)]);
     }
 
     #[test]

@@ -791,6 +791,85 @@ mod tests {
     }
 
     #[test]
+    fn drive_schedule_is_pinned() {
+        // Every latency and serving level of the mixed schedule, the
+        // final L1D and L2 counters and both caches' resident lines, as
+        // golden values: the replay test above only compares two runs.
+        let mut m = MemorySystem::new(HierarchyConfig::tiny(1).unwrap());
+        let out = drive_schedule(&mut m);
+        #[rustfmt::skip]
+        let latencies: [u64; 143] = [
+            200, 200, 200, 4, 200, 200, 200, 200, 4, 200, 200, 200, 254, 4, 200,
+            200, 200, 200, 4, 200, 200, 200, 200, 4, 200, 200, 200, 200, 4, 200,
+            200, 200, 200, 4, 200, 200, 200, 200, 4, 200, 200, 200, 200, 4, 200,
+            200, 200, 200, 4, 200, 200, 200, 200, 4, 200, 200, 200, 200, 4, 200,
+            200, 200, 200, 4, 200, 200, 200, 200, 4, 200, 200, 200, 200, 4, 200,
+            200, 200, 254, 4, 200, 200, 200, 20, 20, 20, 200, 20, 20, 20, 20,
+            200, 20, 20, 20, 20, 200, 20, 20, 20, 20, 200, 20, 20, 20, 20,
+            200, 20, 20, 20, 20, 200, 20, 20, 20, 20, 200, 20, 20, 20, 20,
+            200, 20, 20, 20, 20, 200, 20, 20, 20, 20, 200, 20, 20, 20, 20,
+            200, 20, 20, 20, 20, 200, 20, 20,
+        ];
+        // One letter per access: `1` L1, `2` L2, `m` memory.
+        let levels = [
+            "mmm1mmmm1mmmm1mmmm1mmmm1mmmm1mmmm1mmmm1mmmm1mmmm",
+            "1mmmm1mmmm1mmmm1mmmm1mmmm1mmmm1mmm212m2212m2212m",
+            "2212m2212m2212m2212m2212m2212m2212m2212m2212m22",
+        ]
+        .concat();
+        assert_eq!(out.iter().map(|o| o.0).collect::<Vec<_>>(), latencies);
+        let served: String = out
+            .iter()
+            .map(|o| match o.1 {
+                Level::L1 => '1',
+                Level::L2 => '2',
+                Level::Memory => 'm',
+            })
+            .collect();
+        assert_eq!(served, levels);
+        let stats = |s: &CacheStats| {
+            [
+                s.demand_accesses,
+                s.demand_hits,
+                s.demand_misses,
+                s.demand_miss_latency,
+                s.evictions,
+                s.invalidations,
+                s.flushes,
+                s.writebacks,
+                s.prefetch_fills,
+                s.prefetch_useful,
+                s.prefetch_late,
+                s.prefetch_unused,
+            ]
+        };
+        assert_eq!(stats(m.l1d(0).stats()), [115, 0, 115, 16448, 156, 0, 0, 0, 57, 0, 0, 51]);
+        assert_eq!(stats(m.l2().stats()), [115, 37, 78, 15708, 0, 12, 12, 12, 33, 12, 0, 0]);
+        let raw = |c: &Cache| c.resident_lines().iter().map(|a| a.raw()).collect::<Vec<_>>();
+        #[rustfmt::skip]
+        let l1d: [u64; 16] = [
+            0x100, 0x1c40, 0x2f40, 0x3780, 0x3800, 0x4100, 0x4a80, 0x5d80,
+            0x65c0, 0x6f40, 0x78c0, 0x8240, 0x8bc0, 0x9480, 0x9e00, 0xc2c0,
+        ];
+        #[rustfmt::skip]
+        let l2: [u64; 99] = [
+            0x0, 0x40, 0x80, 0xc0, 0x100, 0x940, 0x9c0, 0xa00, 0xa40, 0x1280,
+            0x1300, 0x1340, 0x1380, 0x1c00, 0x1c40, 0x1c80, 0x1cc0, 0x2540, 0x2580, 0x25c0,
+            0x2600, 0x2e40, 0x2e80, 0x2ec0, 0x2f00, 0x2f40, 0x3780, 0x37c0, 0x3800, 0x3840,
+            0x40c0, 0x4100, 0x4140, 0x4180, 0x41c0, 0x4a00, 0x4a40, 0x4a80, 0x4b00, 0x5340,
+            0x5380, 0x53c0, 0x5440, 0x5c80, 0x5cc0, 0x5d40, 0x5d80, 0x65c0, 0x6600, 0x6680,
+            0x66c0, 0x6f00, 0x6f40, 0x6f80, 0x6fc0, 0x7000, 0x7840, 0x78c0, 0x7900, 0x7940,
+            0x8180, 0x81c0, 0x8200, 0x8240, 0x8280, 0x8b00, 0x8b40, 0x8b80, 0x8bc0, 0x9400,
+            0x9440, 0x9480, 0x94c0, 0x9500, 0x9d40, 0x9d80, 0x9dc0, 0x9e00, 0xa680, 0xa6c0,
+            0xa700, 0xa740, 0xafc0, 0xb000, 0xb040, 0xb0c0, 0xb900, 0xb940, 0xb980, 0xba00,
+            0xc240, 0xc280, 0xc2c0, 0xc300, 0xc340, 0xcb80, 0xcbc0, 0xcc40, 0xcc80,
+        ];
+        assert_eq!(raw(m.l1d(0)), l1d);
+        assert_eq!(raw(m.l2()), l2);
+        assert_eq!(m.prefetches_dropped(), 0);
+    }
+
+    #[test]
     fn reset_replays_bit_identically_to_fresh() {
         let mut fresh = MemorySystem::new(HierarchyConfig::tiny(1).unwrap());
         let expected = drive_schedule(&mut fresh);
