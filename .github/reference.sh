@@ -35,10 +35,17 @@ grid attack --attacks fr,er,pp --cross-core both --defenses all --seeds 16
 grid basics --attacks fr,er,pp --noise none,c3,c4,c3c4 --cross-core both --defenses all \
   --basics none,tagged,stride --seeds 2
 grid trace --attacks fr --defenses base,full --trace --obs
+# The only traced grid that models instruction fetch: every L1I lookup
+# runs with the recorder armed.
+grid wltrace --attacks none --workloads 554.roms_r --defenses base,full --basics none,tagged \
+  --trace --obs
 # obs.json's `timing` section is wall-clock; only `counters` is contracted.
-sed -n '/"counters"/,/^  }/p' trace/obs.json > trace/counters
+for d in trace wltrace; do
+  sed -n '/"counters"/,/^  }/p' $d/obs.json > $d/counters
+done
 mkdir -p repro
 (cd repro && "$bin/repro" all > stdout)
 
 sha256sum default/sweep.* spec/sweep.* leakage/sweep.* leakage/leakage.* attack/sweep.* \
-  basics/sweep.* trace/trace.jsonl trace/counters repro/stdout repro/AUDIT.json
+  basics/sweep.* trace/trace.jsonl trace/counters wltrace/trace.jsonl wltrace/counters \
+  repro/stdout repro/AUDIT.json
