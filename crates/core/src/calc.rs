@@ -137,11 +137,13 @@ impl CalculationBuffer {
         self.regs = [RegTrack::INIT; NUM_REGS];
     }
 
+    #[inline]
     fn reinit(&mut self, rd: Reg) {
         self.regs[rd.index()] = RegTrack::INIT;
     }
 
     /// Applies one retired instruction's Table III rule.
+    #[inline]
     pub fn apply(&mut self, instr: &Instr) {
         match *instr {
             // Data movement.
@@ -174,6 +176,7 @@ impl CalculationBuffer {
         }
     }
 
+    #[inline]
     fn additive(&mut self, rd: Reg, a: Reg, b: Operand, subtract: bool) {
         let s0 = self.regs[a.index()];
         let out = match b {

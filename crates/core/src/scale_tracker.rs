@@ -52,6 +52,7 @@ impl ScaleTracker {
     }
 
     /// Observes one retired instruction (Table III update).
+    #[inline]
     pub fn on_retire(&mut self, instr: &Instr) {
         self.buf.apply(instr);
     }

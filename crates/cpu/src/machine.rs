@@ -7,7 +7,7 @@ use prefender_isa::Instr;
 #[cfg(test)]
 use prefender_isa::Reg;
 use prefender_prefetch::{AccessEvent, PrefetchRequest, RetireEvent};
-use prefender_sim::{AccessKind, Addr, Cycle, HierarchyConfig, MemorySystem};
+use prefender_sim::{AccessKind, Addr, Cycle, FetchRun, HierarchyConfig, MemorySystem};
 
 use crate::core_model::{Core, CoreState};
 use crate::trace::{MemTrace, TraceEntry};
@@ -130,6 +130,17 @@ fn notify_access(
     pf.on_access_into(ev, &|a| mem.probe_l1d(ev.core, a), scratch);
     for r in scratch.iter() {
         mem.prefetch(ev.core, r.addr, r.source, ev.now);
+    }
+}
+
+/// Hands one register write to the core's Scale Tracker, the only unit
+/// that observes retires. `run_core` calls it from each register-writing
+/// arm, so the Table III rule is chosen at compile time.
+#[inline(always)]
+fn retire(prefetcher: &mut Option<Prefender>, core: usize, pc: u64, instr: &Instr, now: Cycle) {
+    debug_assert!(instr.writes_reg(), "`{instr}` retired as a register write");
+    if let Some(pf) = prefetcher {
+        pf.on_retire(&RetireEvent { core, pc, instr, now });
     }
 }
 
@@ -387,6 +398,12 @@ impl Machine {
     /// other cores' accesses is unobservable). Attack programs spend
     /// ~80% of their retired instructions in measurement-spacing `nop`
     /// runs, which makes this the single hottest dispatch shortcut.
+    ///
+    /// With fetch modelled, fetches of the line just fetched form a
+    /// [`FetchRun`], handed to the hierarchy before each `ld`, `st` or
+    /// `flush` and on return. Only those three and fetches reach the
+    /// hierarchy, and another core never runs inside this call, so the
+    /// L1I ends each run exactly as one fetch at a time would leave it.
     fn run_core(&mut self, c: usize, budget: u64, until: Cycle, batch_nops: bool) -> u64 {
         // One destructure up front: every field borrow below is disjoint,
         // so the dispatch loop pays the `cores[c]` bounds check once
@@ -410,15 +427,18 @@ impl Machine {
         let mut ready_at = core.ready_at;
         let mut retired = core.retired;
         let mut steps = 0u64;
+        let mut run = FetchRun::default();
         while steps < budget && ready_at < until {
             let Some(&instr) = prog.instr(pc_index) else {
                 core.state = CoreState::Halted;
                 steps += 1;
                 break;
             };
-            if batch_nops && instr == Instr::Nop {
+            if batch_nops && matches!(instr, Instr::Nop) {
                 let mut k = 1u64;
-                while k < budget - steps && prog.instr(pc_index + k as usize) == Some(&Instr::Nop) {
+                while k < budget - steps
+                    && matches!(prog.instr(pc_index + k as usize), Some(Instr::Nop))
+                {
                     k += 1;
                 }
                 pc_index += k as usize;
@@ -433,16 +453,18 @@ impl Machine {
             let mut t = ready_at;
 
             if cfg.model_fetch {
-                t += mem.fetch(c, Addr::new(pc), t);
+                t += mem.fetch_in_run(c, Addr::new(pc), t, &mut run);
             }
 
             let mut next = pc_index + 1;
             let cost = match instr {
                 Instr::LoadImm { rd, imm } => {
                     core.regs.write(rd, imm as u64);
+                    retire(prefetcher, c, pc, &instr, t);
                     cfg.alu_cost
                 }
                 Instr::Load { rd, base, offset } => {
+                    mem.end_fetch_run(c, &mut run);
                     let addr = Addr::new(core.regs.read(base).wrapping_add(offset as u64));
                     let outcome = mem.access(c, addr, AccessKind::Read, t);
                     let value = data.get(&addr.raw()).copied().unwrap_or(0);
@@ -469,9 +491,11 @@ impl Machine {
                         };
                         notify_access(mem, pf, prefetch_scratch, &ev);
                     }
+                    retire(prefetcher, c, pc, &instr, t);
                     outcome.latency
                 }
                 Instr::Store { src, base, offset } => {
+                    mem.end_fetch_run(c, &mut run);
                     let addr = Addr::new(core.regs.read(base).wrapping_add(offset as u64));
                     let outcome = mem.access(c, addr, AccessKind::Write, t);
                     let value = core.regs.read(src);
@@ -503,57 +527,68 @@ impl Machine {
                 Instr::Add { rd, a, b } => {
                     let v = core.regs.read(a).wrapping_add(core.regs.value(b));
                     core.regs.write(rd, v);
+                    retire(prefetcher, c, pc, &instr, t);
                     cfg.alu_cost
                 }
                 Instr::Sub { rd, a, b } => {
                     let v = core.regs.read(a).wrapping_sub(core.regs.value(b));
                     core.regs.write(rd, v);
+                    retire(prefetcher, c, pc, &instr, t);
                     cfg.alu_cost
                 }
                 Instr::Mul { rd, a, b } => {
                     let v = core.regs.read(a).wrapping_mul(core.regs.value(b));
                     core.regs.write(rd, v);
+                    retire(prefetcher, c, pc, &instr, t);
                     cfg.mul_cost
                 }
                 Instr::Shl { rd, a, b } => {
                     let sh = core.regs.value(b) & 63;
                     let v = core.regs.read(a).wrapping_shl(sh as u32);
                     core.regs.write(rd, v);
+                    retire(prefetcher, c, pc, &instr, t);
                     cfg.alu_cost
                 }
                 Instr::Shr { rd, a, b } => {
                     let sh = core.regs.value(b) & 63;
                     let v = core.regs.read(a).wrapping_shr(sh as u32);
                     core.regs.write(rd, v);
+                    retire(prefetcher, c, pc, &instr, t);
                     cfg.alu_cost
                 }
                 Instr::And { rd, a, b } => {
                     let v = core.regs.read(a) & core.regs.value(b);
                     core.regs.write(rd, v);
+                    retire(prefetcher, c, pc, &instr, t);
                     cfg.alu_cost
                 }
                 Instr::Or { rd, a, b } => {
                     let v = core.regs.read(a) | core.regs.value(b);
                     core.regs.write(rd, v);
+                    retire(prefetcher, c, pc, &instr, t);
                     cfg.alu_cost
                 }
                 Instr::Xor { rd, a, b } => {
                     let v = core.regs.read(a) ^ core.regs.value(b);
                     core.regs.write(rd, v);
+                    retire(prefetcher, c, pc, &instr, t);
                     cfg.alu_cost
                 }
                 Instr::Mov { rd, rs } => {
                     let v = core.regs.read(rs);
                     core.regs.write(rd, v);
+                    retire(prefetcher, c, pc, &instr, t);
                     cfg.alu_cost
                 }
                 Instr::Flush { base, offset } => {
+                    mem.end_fetch_run(c, &mut run);
                     let addr = Addr::new(core.regs.read(base).wrapping_add(offset as u64));
                     let lat = mem.flush(addr, t);
                     cfg.flush_cost + lat
                 }
                 Instr::Rdtsc { rd } => {
                     core.regs.write(rd, t.raw());
+                    retire(prefetcher, c, pc, &instr, t);
                     cfg.alu_cost
                 }
                 Instr::Nop => cfg.alu_cost,
@@ -585,22 +620,15 @@ impl Machine {
                 }
             };
 
-            // Only the Scale Tracker observes retires, and only register
-            // writers: a direct call, no other instruction notifies.
-            if instr.writes_reg() {
-                if let Some(pf) = prefetcher.as_mut() {
-                    pf.on_retire(&RetireEvent { core: c, pc, instr: &instr, now: t });
-                }
-            }
-
             pc_index = next;
             ready_at = t + cost;
             retired += 1;
             steps += 1;
-            if instr == Instr::Halt {
+            if matches!(instr, Instr::Halt) {
                 break;
             }
         }
+        mem.end_fetch_run(c, &mut run);
         core.pc_index = pc_index;
         core.ready_at = ready_at;
         core.retired = retired;

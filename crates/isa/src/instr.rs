@@ -201,11 +201,13 @@ impl Instr {
     /// register — the instructions a register-dataflow tracker (the
     /// Scale Tracker's calculation buffer) can observe an effect from.
     /// Branches, stores, flushes, `nop` and `halt` return `false`.
+    #[inline]
     pub fn writes_reg(&self) -> bool {
         self.dest().is_some()
     }
 
     /// The destination register this instruction writes, if any.
+    #[inline]
     pub fn dest(&self) -> Option<Reg> {
         match *self {
             Instr::LoadImm { rd, .. }

@@ -1,6 +1,7 @@
 //! A single set-associative cache array with in-flight prefetch tracking.
 
 use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
 use std::collections::BinaryHeap;
 
 use prefender_obs::{trace_event, CacheTag, TraceEvent};
@@ -268,12 +269,12 @@ impl Cache {
             // materialization, reinsertion after invalidate): an entry is
             // live only while the map still holds this line at this exact
             // completion time.
-            match self.inflight.get(&la) {
-                Some(f) if f.ready_at == ready_at => {}
-                _ => continue,
+            let Entry::Occupied(live) = self.inflight.entry(la) else { continue };
+            if live.get().ready_at != ready_at {
+                continue;
             }
-            let f = self.inflight.remove(&la).expect("checked live above");
-            if let Some(e) = self.fill(Addr::new(la), f.ready_at, Some(f.source), false) {
+            let f = live.remove();
+            if let (_, Some(e)) = self.install(Addr::new(la), f.ready_at, Some(f.source), false) {
                 evicted.push(e);
             }
         }
@@ -317,12 +318,11 @@ impl Cache {
                 line: la,
                 source: f.source as u8,
             });
-            let (set, way, evicted) =
-                self.fill_resolved(addr, f.ready_at.max(now), Some(f.source), false);
+            let (slot, evicted) = self.install(addr, f.ready_at.max(now), Some(f.source), false);
             debug_assert!(evicted.is_none() || evicted.unwrap().addr.raw() != la);
             // The demand access is about to use it: clear the tag bit
-            // (the fill resolved the way, so no second set scan).
-            self.sets[set * self.assoc + way].prefetched = false;
+            // (the install resolved the slot, so no second set scan).
+            self.sets[slot].prefetched = false;
             return LookupResult::InFlight { ready_at: f.ready_at, source: f.source };
         }
         trace_event(|| TraceEvent::DemandMiss {
@@ -334,21 +334,29 @@ impl Cache {
         LookupResult::Miss
     }
 
-    /// The state change of a [`Cache::demand_lookup`] hit, done in place
-    /// when `addr`'s line sits in the slot of the last demand hit, is not
-    /// tagged as prefetched and the flight recorder is disarmed: refreshes
-    /// the line's recency and returns `true`. Otherwise touches nothing
-    /// and returns `false`, and the caller takes the full lookup (so an
-    /// armed recorder still sees every `DemandHit` event).
+    /// `true` when a [`Cache::demand_lookup`] hit on `addr` can be done in
+    /// place by [`Cache::repeat_hits`]: its line sits in the slot of the
+    /// last demand hit, is not tagged as prefetched and the flight
+    /// recorder is disarmed. Otherwise the caller takes the full lookup
+    /// (so an armed recorder still sees every `DemandHit` event).
     #[inline]
-    pub(crate) fn repeat_hit(&mut self, addr: Addr, now: Cycle) -> bool {
-        let la = self.line_addr(addr);
-        let line = &mut self.sets[self.last_hit];
-        if line.valid && line.tag == la && !line.prefetched && !prefender_obs::trace_armed() {
-            line.last_touch = now;
-            return true;
-        }
-        false
+    pub(crate) fn repeat_ready(&self, addr: Addr) -> bool {
+        let line = &self.sets[self.last_hit];
+        line.valid
+            && line.tag == self.line_addr(addr)
+            && !line.prefetched
+            && !prefender_obs::trace_armed()
+    }
+
+    /// The state change of `n` demand hits on the line in the last-hit
+    /// slot, the last at `last`: the recency of the last one and the
+    /// counters of all of them. Only valid while [`Cache::repeat_ready`]
+    /// holds for that line.
+    #[inline]
+    pub(crate) fn repeat_hits(&mut self, n: u64, last: Cycle) {
+        self.sets[self.last_hit].last_touch = last;
+        self.stats.demand_accesses += n;
+        self.stats.demand_hits += n;
     }
 
     fn line_mut(&mut self, addr: Addr) -> Option<&mut CacheLine> {
@@ -364,14 +372,19 @@ impl Cache {
         }
     }
 
-    /// Refreshes a line's recency without demand-access bookkeeping.
+    /// Refreshes a line's recency without demand-access bookkeeping, and
+    /// returns whether the line is installed.
     ///
     /// Used when a prefetch is served from this cache: the fill *reads*
     /// the line, so its replacement state is updated exactly as a demand
     /// hit would, but no hit/miss or tag-bit accounting applies.
-    pub fn touch(&mut self, addr: Addr, now: Cycle) {
-        if let Some(line) = self.line_mut(addr) {
-            line.last_touch = now;
+    pub fn touch(&mut self, addr: Addr, now: Cycle) -> bool {
+        match self.line_mut(addr) {
+            Some(line) => {
+                line.last_touch = now;
+                true
+            }
+            None => false,
         }
     }
 
@@ -379,7 +392,8 @@ impl Cache {
     ///
     /// `prefetch` attributes the fill to a prefetch source and sets the
     /// tag bit; `write` installs the line dirty (write-allocate).
-    /// Filling an already-present line only refreshes recency.
+    /// Filling an already-present line only refreshes recency; filling a
+    /// line in flight cancels the prefetch.
     pub fn fill(
         &mut self,
         addr: Addr,
@@ -387,37 +401,37 @@ impl Cache {
         prefetch: Option<PrefetchSource>,
         write: bool,
     ) -> Option<EvictedLine> {
-        self.fill_resolved(addr, now, prefetch, write).2
+        if let Some(line) = self.line_mut(addr) {
+            line.last_touch = now;
+            line.dirty |= write;
+            return None;
+        }
+        self.inflight.remove(&self.line_addr(addr));
+        self.install(addr, now, prefetch, write).1
     }
 
-    /// [`Cache::fill`] that also reports `(set, way)` where the line now
-    /// lives, so callers needing to adjust line state afterwards (the
-    /// late-prefetch path) avoid a second set scan.
-    fn fill_resolved(
+    /// [`Cache::fill`] of a line that is neither installed nor in flight
+    /// (after a [`Cache::demand_lookup`] miss, or once its in-flight entry
+    /// is taken off the map): no presence scan, no map probe. Returns the
+    /// index into `sets` where the line now lives and the evicted line.
+    pub(crate) fn install(
         &mut self,
         addr: Addr,
         now: Cycle,
         prefetch: Option<PrefetchSource>,
         write: bool,
-    ) -> (usize, usize, Option<EvictedLine>) {
+    ) -> (usize, Option<EvictedLine>) {
         let la = self.line_addr(addr);
+        debug_assert!(!self.contains_line(la), "line {la:#x} installed twice");
+        debug_assert!(!self.inflight.contains_key(&la), "line {la:#x} installed while in flight");
         let set = self.set_of(addr);
-        // Already present: refresh.
-        if let Some(way) = self.ways(set).iter().position(|l| l.valid && l.tag == la) {
-            let line = &mut self.sets[set * self.assoc + way];
-            line.last_touch = now;
-            if write {
-                line.dirty = true;
-            }
-            return (set, way, None);
-        }
-        self.inflight.remove(&la);
         self.record_touched(set);
         let seq = self.fill_seq;
         self.fill_seq += 1;
         let victim_way = self.pick_victim(set);
+        let slot = set * self.assoc + victim_way;
         let tid = self.trace_id;
-        let victim = &mut self.sets[set * self.assoc + victim_way];
+        let victim = &mut self.sets[slot];
         let evicted = if victim.valid {
             self.stats.evictions += 1;
             let victim_tag = victim.tag;
@@ -459,7 +473,7 @@ impl Cache {
                 line: la,
             });
         }
-        (set, victim_way, evicted)
+        (slot, evicted)
     }
 
     /// Remembers that `set` may now hold installed lines, so
@@ -482,12 +496,24 @@ impl Cache {
     ///
     /// No-op when the line is already installed or already in flight.
     pub fn fill_inflight(&mut self, addr: Addr, ready_at: Cycle, source: PrefetchSource) {
-        let la = self.line_addr(addr);
-        if self.contains_line(la) || self.inflight.contains_key(&la) {
-            return;
+        if !self.contains_or_inflight(addr) {
+            self.insert_inflight(addr, ready_at, source);
         }
-        self.inflight.insert(la, InFlight { ready_at, source });
+    }
+
+    /// [`Cache::fill_inflight`] of a line the caller has found neither
+    /// installed nor in flight.
+    pub(crate) fn insert_inflight(&mut self, addr: Addr, ready_at: Cycle, source: PrefetchSource) {
+        let la = self.line_addr(addr);
+        debug_assert!(!self.contains_line(la), "line {la:#x} in flight while installed");
+        let prev = self.inflight.insert(la, InFlight { ready_at, source });
+        debug_assert!(prev.is_none(), "line {la:#x} in flight twice");
         self.completions.push(Reverse((ready_at, la)));
+    }
+
+    /// `true` when a prefetch of `addr`'s line is in flight.
+    pub(crate) fn in_flight(&self, addr: Addr) -> bool {
+        self.inflight.contains_key(&self.line_addr(addr))
     }
 
     /// Removes a line (flush or back-invalidation). Also cancels any

@@ -65,6 +65,32 @@ impl AccessOutcome {
     }
 }
 
+/// Instruction fetches of one line that [`MemorySystem::fetch`] would each
+/// do in place (repeat hits in the L1I's last-hit slot), counted by the
+/// fetching core instead: see [`MemorySystem::fetch_in_run`]. Nothing but
+/// fetches of that line may reach the core's L1I while a run is open.
+#[derive(Debug, Clone)]
+pub struct FetchRun {
+    /// The run's line address, or [`FetchRun::CLOSED`].
+    line: u64,
+    /// Fetches counted and not yet handed to the L1I.
+    fetches: u64,
+    /// When the last of them happened.
+    last: Cycle,
+}
+
+impl FetchRun {
+    /// No line: a line address is aligned, so this never matches one.
+    const CLOSED: u64 = u64::MAX;
+}
+
+impl Default for FetchRun {
+    /// A closed run.
+    fn default() -> Self {
+        FetchRun { line: Self::CLOSED, fetches: 0, last: Cycle::ZERO }
+    }
+}
+
 /// An inclusive two-level cache hierarchy shared by `n_cores` cores.
 ///
 /// * per-core L1I and L1D;
@@ -212,7 +238,7 @@ impl MemorySystem {
         evicted.clear();
         self.l2.expire_inflight_into(now, &mut evicted);
         for e in evicted.drain(..) {
-            self.back_invalidate(e, now);
+            self.back_invalidate(e);
         }
         for core in 0..self.l1d.len() {
             self.l1d[core].expire_inflight_into(now, &mut evicted);
@@ -230,7 +256,7 @@ impl MemorySystem {
         }
     }
 
-    fn back_invalidate(&mut self, e: EvictedLine, _now: Cycle) {
+    fn back_invalidate(&mut self, e: EvictedLine) {
         let mut dirty = e.dirty;
         for l1 in self.l1d.iter_mut().chain(self.l1i.iter_mut()) {
             if let Some(inv) = l1.invalidate(e.addr) {
@@ -297,7 +323,7 @@ impl MemorySystem {
                 // The line is usable only once the miss completes; stamping
                 // the fill with the completion time keeps LRU ordering
                 // consistent with overlapping prefetch completions.
-                if let Some(e) = self.l1d[core].fill(addr, now + latency, None, is_write) {
+                if let (_, Some(e)) = self.l1d[core].install(addr, now + latency, None, is_write) {
                     self.writeback_from_l1(e);
                 }
                 if is_write {
@@ -334,8 +360,8 @@ impl MemorySystem {
                 let st = self.l2.stats_mut();
                 st.demand_misses += 1;
                 st.demand_miss_latency += latency;
-                if let Some(e) = self.l2.fill(addr, now + latency, None, false) {
-                    self.back_invalidate(e, now);
+                if let (_, Some(e)) = self.l2.install(addr, now + latency, None, false) {
+                    self.back_invalidate(e);
                 }
                 (latency, Level::Memory, None)
             }
@@ -368,13 +394,52 @@ impl MemorySystem {
         // such a hit is done in place, with the counters the full lookup
         // would add.
         let l1i = &mut self.l1i[core];
-        if l1i.repeat_hit(addr, now) {
-            let st = l1i.stats_mut();
-            st.demand_accesses += 1;
-            st.demand_hits += 1;
+        if l1i.repeat_ready(addr) {
+            l1i.repeat_hits(1, now);
             return 0;
         }
         self.fetch_lookup(core, addr, now)
+    }
+
+    /// [`MemorySystem::fetch`] within a [`FetchRun`]: a fetch of the line
+    /// the run holds is only counted in `run`; any other fetch first
+    /// hands the run over ([`MemorySystem::end_fetch_run`]), then fetches
+    /// and opens a run on its line when further fetches of it would be
+    /// done in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `core` is out of range.
+    #[inline]
+    pub fn fetch_in_run(&mut self, core: usize, addr: Addr, now: Cycle, run: &mut FetchRun) -> u64 {
+        let line = self.cfg.l1i.line_addr_of(addr);
+        if line == run.line {
+            run.fetches += 1;
+            run.last = now;
+            return 0;
+        }
+        self.end_fetch_run(core, run);
+        let stall = self.fetch(core, addr, now);
+        if self.l1i[core].repeat_ready(addr) {
+            run.line = line;
+        }
+        stall
+    }
+
+    /// Hands `run`'s fetches to `core`'s L1I, with the counters and the
+    /// recency that one [`MemorySystem::fetch`] per fetch would leave, and
+    /// closes the run. Call it before anything else reaches the hierarchy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `core` is out of range.
+    #[inline]
+    pub fn end_fetch_run(&mut self, core: usize, run: &mut FetchRun) {
+        if run.fetches > 0 {
+            self.l1i[core].repeat_hits(run.fetches, run.last);
+            run.fetches = 0;
+        }
+        run.line = FetchRun::CLOSED;
     }
 
     /// [`MemorySystem::fetch`] through a full L1I lookup.
@@ -397,7 +462,7 @@ impl MemorySystem {
                 let st = self.l1i[core].stats_mut();
                 st.demand_misses += 1;
                 st.demand_miss_latency += latency;
-                let _ = self.l1i[core].fill(addr, now + latency, None, false);
+                let _ = self.l1i[core].install(addr, now + latency, None, false);
                 latency
             }
         }
@@ -438,20 +503,17 @@ impl MemorySystem {
             line,
             source: source as u8,
         });
-        let ready_at = if self.l2.contains(addr) {
-            // The prefetch reads the L2 line: refresh its recency.
-            self.l2.touch(addr, now);
-            now + self.cfg.l2.hit_latency()
-        } else if self.l2.contains_or_inflight(addr) {
-            // Ride the existing in-flight L2 fill.
+        // The prefetch reads an installed L2 line (refreshing its recency)
+        // or rides the line's in-flight L2 fill.
+        let ready_at = if self.l2.touch(addr, now) || self.l2.in_flight(addr) {
             now + self.cfg.l2.hit_latency()
         } else {
             let outcome = self.mshrs.request(line, now, self.cfg.memory_latency);
             let ready = outcome.ready_at();
-            self.l2.fill_inflight(addr, ready, source);
+            self.l2.insert_inflight(addr, ready, source);
             ready
         };
-        self.l1d[core].fill_inflight(addr, ready_at, source);
+        self.l1d[core].insert_inflight(addr, ready_at, source);
         true
     }
 
@@ -702,60 +764,73 @@ mod tests {
     fn fetch_stalls_and_l1i_stats_are_pinned() {
         // Repeat hits, conflict misses in one 2-way L1I set, flushes and
         // L2 back-invalidations, in a fixed order; every stall and the
-        // final L1I counters are pinned.
-        let mut m = MemorySystem::new(HierarchyConfig::tiny(1).unwrap());
-        let mut now = 0u64;
-        let mut stalls = Vec::new();
-        for k in 0..120u64 {
-            let t = Cycle::new(now);
-            let pc = match k % 10 {
-                0..=3 => 0x1000 + 4 * (k % 4),
-                4 => 0x1200,
-                5 => 0x1400,
-                6 => 0x1000,
-                7 => {
-                    m.flush(Addr::new(0x1000), t);
-                    0x1000
-                }
-                8 => {
-                    // Four L2 set conflicts evict the code line from the
-                    // L2, which back-invalidates it from the L1I.
-                    for j in 1..=4u64 {
-                        m.access(0, Addr::new(0x1000 + j * 2048), AccessKind::Read, t);
+        // final L1I counters are pinned, fetched one by one and in runs.
+        for runs in [false, true] {
+            let mut m = MemorySystem::new(HierarchyConfig::tiny(1).unwrap());
+            let mut run = FetchRun::default();
+            let mut now = 0u64;
+            let mut stalls = Vec::new();
+            for k in 0..120u64 {
+                let t = Cycle::new(now);
+                let pc = match k % 10 {
+                    0..=3 => 0x1000 + 4 * (k % 4),
+                    4 => 0x1200,
+                    5 => 0x1400,
+                    6 => 0x1000,
+                    7 => {
+                        m.end_fetch_run(0, &mut run);
+                        m.flush(Addr::new(0x1000), t);
+                        0x1000
                     }
-                    0x1000
-                }
-                _ => 0x1040,
-            };
-            stalls.push(m.fetch(0, Addr::new(pc), t));
-            now += 7 + 60 * (k % 5);
+                    8 => {
+                        // Four L2 set conflicts evict the code line from the
+                        // L2, which back-invalidates it from the L1I.
+                        m.end_fetch_run(0, &mut run);
+                        for j in 1..=4u64 {
+                            m.access(0, Addr::new(0x1000 + j * 2048), AccessKind::Read, t);
+                        }
+                        0x1000
+                    }
+                    _ => 0x1040,
+                };
+                let pc = Addr::new(pc);
+                stalls.push(if runs {
+                    m.fetch_in_run(0, pc, t, &mut run)
+                } else {
+                    m.fetch(0, pc, t)
+                });
+                now += 7 + 60 * (k % 5);
+            }
+            m.end_fetch_run(0, &mut run);
+            #[rustfmt::skip]
+            let expected: [u64; 120] = [
+                200, 0, 0, 0, 200, 200, 20, 200, 400, 213,
+                0, 0, 0, 0, 20, 20, 20, 200, 400, 0,
+                0, 0, 0, 0, 20, 20, 20, 200, 0, 0,
+                0, 0, 0, 0, 20, 20, 20, 200, 0, 0,
+                0, 0, 0, 0, 20, 20, 20, 200, 0, 0,
+                0, 0, 0, 0, 20, 20, 20, 200, 0, 0,
+                0, 0, 0, 0, 20, 20, 20, 200, 0, 0,
+                0, 0, 0, 0, 20, 20, 20, 200, 400, 0,
+                0, 0, 0, 0, 20, 20, 20, 200, 0, 0,
+                0, 0, 0, 0, 20, 20, 20, 200, 0, 0,
+                0, 0, 0, 0, 20, 20, 20, 200, 0, 0,
+                0, 0, 0, 0, 20, 20, 20, 200, 0, 0,
+            ];
+            assert_eq!(stalls, expected, "runs {runs}");
+            let s = m.l1i(0).stats();
+            assert_eq!(
+                (s.demand_accesses, s.demand_hits, s.demand_misses, s.demand_miss_latency),
+                (120, 67, 53, 5093),
+                "runs {runs}"
+            );
+            assert_eq!((s.evictions, s.invalidations, s.flushes), (35, 15, 12), "runs {runs}");
+            assert_eq!(
+                m.l1i(0).resident_lines(),
+                vec![Addr::new(0x1000), Addr::new(0x1040), Addr::new(0x1400)],
+                "runs {runs}"
+            );
         }
-        #[rustfmt::skip]
-        let expected: [u64; 120] = [
-            200, 0, 0, 0, 200, 200, 20, 200, 400, 213,
-            0, 0, 0, 0, 20, 20, 20, 200, 400, 0,
-            0, 0, 0, 0, 20, 20, 20, 200, 0, 0,
-            0, 0, 0, 0, 20, 20, 20, 200, 0, 0,
-            0, 0, 0, 0, 20, 20, 20, 200, 0, 0,
-            0, 0, 0, 0, 20, 20, 20, 200, 0, 0,
-            0, 0, 0, 0, 20, 20, 20, 200, 0, 0,
-            0, 0, 0, 0, 20, 20, 20, 200, 400, 0,
-            0, 0, 0, 0, 20, 20, 20, 200, 0, 0,
-            0, 0, 0, 0, 20, 20, 20, 200, 0, 0,
-            0, 0, 0, 0, 20, 20, 20, 200, 0, 0,
-            0, 0, 0, 0, 20, 20, 20, 200, 0, 0,
-        ];
-        assert_eq!(stalls, expected);
-        let s = m.l1i(0).stats();
-        assert_eq!(
-            (s.demand_accesses, s.demand_hits, s.demand_misses, s.demand_miss_latency),
-            (120, 67, 53, 5093)
-        );
-        assert_eq!((s.evictions, s.invalidations, s.flushes), (35, 15, 12));
-        assert_eq!(
-            m.l1i(0).resident_lines(),
-            vec![Addr::new(0x1000), Addr::new(0x1040), Addr::new(0x1400)]
-        );
     }
 
     // Drives one deterministic mixed schedule (accesses, prefetches,

@@ -43,7 +43,7 @@ pub use addr::Addr;
 pub use cache::{Cache, EvictedLine, LookupResult};
 pub use config::{CacheConfig, ConfigError, HierarchyConfig};
 pub use hash::{Mix64Hasher, Mix64Map};
-pub use hierarchy::{AccessKind, AccessOutcome, Level, MemorySystem};
+pub use hierarchy::{AccessKind, AccessOutcome, FetchRun, Level, MemorySystem};
 pub use line::CacheLine;
 pub use mshr::{MshrFile, MshrOutcome};
 pub use replacement::ReplacementPolicy;
