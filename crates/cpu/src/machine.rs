@@ -898,19 +898,27 @@ mod tests {
         );
     }
 
-    /// Three code lines of one set of the tiny 2-way L1I, 128
+    /// Three code lines A, B and C of one set of the tiny 2-way L1I, 128
     /// instructions apart (the gaps are never executed), visited A, B, A,
-    /// C each trip, with a load, a store and a flush of line B: which
-    /// line C's miss evicts depends on when line A was last fetched.
+    /// C each trip. B is a lone `jmp`, so A's second visit starts as a
+    /// repeat hit: which line C's miss evicts depends on the recency that
+    /// visit leaves. Each trip stores to and loads from two data lines of
+    /// A's L2 set, which soon evicts A from the L2, and so from the L1I,
+    /// in the middle of a visit; C flushes itself while it runs and sums
+    /// `rdtsc` readings, so a fetch that should have missed shows in r5.
     fn one_set_code_lines(trips: usize) -> Program {
+        let a = format!(
+            "li r1, 0x8800\nli r7, 0x8400\nli r4, {trips}\ntop:\nxor r9, r3, r4\n\
+             st r3, 2048(r1)\njmp lb\nla:\nadd r3, r3, r2\nld r2, 0(r1)\nshl r6, r3, 2\n\
+             or r6, r6, 1\nadd r1, r1, 4096\njmp lc\n"
+        );
+        let a_len = a.lines().filter(|l| !l.ends_with(':')).count();
         let pad = |from: usize, to: usize| "nop\n".repeat(to - from);
         let src = format!(
-            "li r1, 0x8200\nli r4, {trips}\ntop:\nadd r3, r3, 1\nxor r5, r3, r4\njmp lb\n\
-             la:\nshl r6, r3, 2\nor r6, r6, 1\njmp lc\n{}\
-             lb:\nld r2, 0(r1)\nadd r3, r3, r2\nst r3, 8(r1)\nmul r5, r3, 3\njmp la\n{}\
-             lc:\nflush 0(r1)\nsub r4, r4, 1\nbnz r4, top\nhalt\n",
-            pad(8, 128),
-            pad(128 + 5, 256),
+            "{a}{}lb:\njmp la\n{}lc:\nsub r4, r4, 1\nrdtsc r8\nadd r5, r5, r8\nflush 0(r7)\n\
+             bnz r4, top\nhalt\n",
+            pad(a_len, 128),
+            pad(129, 256),
         );
         Program::parse(&src).unwrap()
     }
@@ -970,6 +978,7 @@ mod tests {
                                 (s.ready_at(), s.retired()),
                                 "{case}"
                             );
+                            assert_eq!(r.regs(), s.regs(), "{case}");
                             let (rm, sm) = (run.mem(), stepped.mem());
                             assert_eq!(rm.l1i(c).stats(), sm.l1i(c).stats(), "{case}");
                             assert_eq!(
@@ -988,7 +997,8 @@ mod tests {
         // No artifact records the L1I counters, so the code-lines run on
         // one core is pinned as golden values.
         let mut m = build(code_lines, 1, true, uncapped);
-        assert_eq!(m.run(), RunSummary { cycles: 1207, instructions: 45, truncated: false });
+        assert_eq!(m.run(), RunSummary { cycles: 2185, instructions: 49, truncated: false });
+        assert_eq!(m.core(0).regs().read(Reg::R5), 4261);
         let stats = |s: &prefender_sim::CacheStats| {
             [
                 s.demand_accesses,
@@ -1005,11 +1015,9 @@ mod tests {
                 s.prefetch_unused,
             ]
         };
-        // Line C's misses evict line B, never the line A fetched after it,
-        // so the flush of B never finds it in the L1I.
-        assert_eq!(stats(m.mem().l1i(0).stats()), [45, 38, 7, 1040, 5, 0, 0, 0, 0, 0, 0, 0]);
-        assert_eq!(stats(m.mem().l1d(0).stats()), [6, 3, 3, 60, 0, 3, 3, 0, 1, 0, 0, 0]);
-        assert_eq!(stats(m.mem().l2().stats()), [10, 5, 5, 1000, 0, 3, 3, 3, 1, 0, 0, 0]);
+        assert_eq!(stats(m.mem().l1i(0).stats()), [49, 38, 11, 1480, 5, 4, 3, 0, 0, 0, 0, 0]);
+        assert_eq!(stats(m.mem().l1d(0).stats()), [6, 0, 6, 1200, 8, 0, 0, 0, 6, 0, 0, 4]);
+        assert_eq!(stats(m.mem().l2().stats()), [17, 4, 13, 2600, 6, 3, 3, 2, 6, 0, 0, 2]);
         assert_eq!(m.mem().l1i(0).resident_lines(), vec![Addr::new(0x8000), Addr::new(0x8400)]);
     }
 

@@ -817,6 +817,17 @@ mod tests {
             }
             other => panic!("expected hit, got {other:?}"),
         }
+
+        // A stale entry due before the live one must not materialize it
+        // early.
+        let b = Addr::new(0x200);
+        c.fill_inflight(b, Cycle::new(600), PrefetchSource::Basic);
+        c.invalidate(b);
+        c.fill_inflight(b, Cycle::new(800), PrefetchSource::Basic);
+        c.expire_inflight(Cycle::new(700));
+        assert!(!c.contains(b) && c.contains_or_inflight(b));
+        c.expire_inflight(Cycle::new(800));
+        assert!(c.contains(b));
     }
 
     #[test]

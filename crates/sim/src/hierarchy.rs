@@ -671,6 +671,37 @@ mod tests {
     }
 
     #[test]
+    fn prefetch_rides_an_inflight_l2_fill() {
+        // Core 0's prefetch puts the line in flight to the L2; core 1's
+        // prefetch of it rides that fill at the L2 hit latency instead of
+        // asking memory again.
+        let mut m = sys(2);
+        let a = Addr::new(0x4000);
+        assert!(m.prefetch(0, a, PrefetchSource::Basic, Cycle::ZERO)); // L2 ready at 200
+        assert!(m.prefetch(1, a, PrefetchSource::Basic, Cycle::new(50))); // ready at 70
+        let out = m.access(1, a, AccessKind::Read, Cycle::new(100));
+        assert_eq!((out.served_by, out.latency), (Level::L1, 4));
+        assert_eq!(m.mshrs().merge_count(), 0, "one memory request, never merged");
+    }
+
+    #[test]
+    fn prefetch_served_by_the_l2_refreshes_its_recency() {
+        // Four lines fill one 4-way set of the tiny L2; the two oldest
+        // leave the 2-way L1D set. A prefetch of the oldest reads it from
+        // the L2, so the next conflict evicts the second oldest instead.
+        let mut m = MemorySystem::new(HierarchyConfig::tiny(1).unwrap());
+        let line = |i: u64| Addr::new(i * 2048);
+        for i in 0..4 {
+            m.access(0, line(i), AccessKind::Read, Cycle::new(300 * i));
+        }
+        assert!(!m.probe_l1d(0, line(0)) && m.probe_l2(line(0)));
+        assert!(m.prefetch(0, line(0), PrefetchSource::Basic, Cycle::new(1000)));
+        m.access(0, line(4), AccessKind::Read, Cycle::new(1100));
+        assert!(m.probe_l2(line(0)), "the prefetch refreshed the oldest line");
+        assert!(!m.probe_l2(line(1)));
+    }
+
+    #[test]
     fn write_invalidates_other_cores() {
         let mut m = sys(2);
         let a = Addr::new(0x4000);
@@ -830,6 +861,33 @@ mod tests {
                 vec![Addr::new(0x1000), Addr::new(0x1040), Addr::new(0x1400)],
                 "runs {runs}"
             );
+        }
+    }
+
+    #[test]
+    fn fetch_runs_open_only_on_the_last_hit_slot() {
+        // W, X and Y share one 2-way set of the tiny L1I. After X's miss
+        // the last-hit slot still holds W, so X's next fetch must take the
+        // full lookup: a run opened at the miss would hand X's recency to
+        // W's slot, and Y's miss would then evict X instead of W.
+        let (w, x, y) = (0x1000, 0x1200, 0x1400);
+        for runs in [false, true] {
+            let mut m = MemorySystem::new(HierarchyConfig::tiny(1).unwrap());
+            let mut run = FetchRun::default();
+            let mut stalls = Vec::new();
+            for (pc, at) in [(w, 0), (w + 4, 300), (x, 400), (x + 4, 700), (x + 8, 800), (y, 900)] {
+                let (pc, at) = (Addr::new(pc), Cycle::new(at));
+                stalls.push(if runs {
+                    m.fetch_in_run(0, pc, at, &mut run)
+                } else {
+                    m.fetch(0, pc, at)
+                });
+            }
+            m.end_fetch_run(0, &mut run);
+            assert_eq!(stalls, [200, 0, 200, 0, 0, 200], "runs {runs}");
+            assert_eq!(m.l1i(0).resident_lines(), [Addr::new(x), Addr::new(y)], "runs {runs}");
+            let s = m.l1i(0).stats();
+            assert_eq!((s.demand_accesses, s.demand_hits), (6, 3), "runs {runs}");
         }
     }
 
