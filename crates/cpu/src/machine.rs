@@ -135,7 +135,7 @@ fn notify_access(
 
 /// Hands one register write to the core's Scale Tracker, the only unit
 /// that observes retires. `run_core` calls it from each register-writing
-/// arm, so the Table III rule is chosen at compile time.
+/// arm, so the Table III rule can be chosen at compile time.
 #[inline(always)]
 fn retire(prefetcher: &mut Option<Prefender>, core: usize, pc: u64, instr: &Instr, now: Cycle) {
     debug_assert!(instr.writes_reg(), "`{instr}` retired as a register write");
