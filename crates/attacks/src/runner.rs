@@ -47,9 +47,9 @@ pub enum Basic {
     /// No basic prefetcher.
     #[default]
     None,
-    /// Tagged next-line prefetcher (paper reference [15]).
+    /// Tagged next-line prefetcher (paper reference \[15\]).
     Tagged,
-    /// Baer–Chen stride prefetcher (paper reference [16]).
+    /// Baer–Chen stride prefetcher (paper reference \[16\]).
     Stride,
 }
 

@@ -95,9 +95,9 @@ pub trait Prefetcher {
 /// in the paper's Tables IV–VI, dispatched by `match`.
 #[derive(Debug, Clone)]
 pub enum BasicPrefetcher {
-    /// The Tagged next-line prefetcher (paper reference [15]).
+    /// The Tagged next-line prefetcher (paper reference \[15\]).
     Tagged(TaggedPrefetcher),
-    /// The Baer–Chen stride prefetcher (paper reference [16]).
+    /// The Baer–Chen stride prefetcher (paper reference \[16\]).
     Stride(StridePrefetcher),
 }
 

@@ -115,8 +115,8 @@ impl MshrFile {
         self.merges
     }
 
-    /// Peak simultaneous entry count since construction or [`reset`]
-    /// (`reset`). Retired entries are pruned lazily on the next
+    /// Peak simultaneous entry count since construction or
+    /// [`MshrFile::reset`]. Retired entries are pruned lazily on the next
     /// [`request`](MshrFile::request), so this is the high-water mark of
     /// *allocated slots*, the quantity capacity planning cares about.
     pub fn high_water(&self) -> usize {

@@ -103,7 +103,7 @@ where
 }
 
 /// Applies `f` to every item on a worker pool and returns the results in
-/// item order — [`run_pool`] with stateless workers. As long as `f` is a
+/// item order — `run_pool` with stateless workers. As long as `f` is a
 /// pure function of its item, the result vector is identical for every
 /// thread count; this is the primitive the bench ablations build on.
 ///
@@ -175,7 +175,7 @@ where
 
 /// Enumerates `grid` and runs every scenario on the worker pool.
 ///
-/// Scenarios are dispatched config-major ([`run_config_major`]): each
+/// Scenarios are dispatched config-major (`run_config_major`): each
 /// worker owns one runner for the whole sweep, and consecutive claims
 /// sharing a machine configuration reset it in place instead of
 /// rebuilding the hierarchy. This is purely a *scheduling* choice: every

@@ -266,7 +266,7 @@ fn break_lease(lease_dir: &Path, path: &Path, shard: usize) -> io::Result<bool> 
 /// one. Returns [`Claim::Held`] when a live holder has it. Bumps
 /// `lease_claims`/`lease_breaks` on `counters` and reports breaks
 /// through `events`. Carries the `lease.claim` failpoint (and
-/// `lease.break` via [`break_lease`]).
+/// `lease.break` via `break_lease`).
 ///
 /// # Errors
 ///
@@ -536,7 +536,7 @@ impl WorkSummary {
 }
 
 /// One worker process's share of a campaign: the shard loop of
-/// [`crate::checkpoint`] under `opts.lease`, which claims free shards,
+/// `checkpoint` under `opts.lease`, which claims free shards,
 /// breaks stale leases and polls while live peers hold the rest. Returns
 /// the same `(report, manifest, summary)` a single-process
 /// [`crate::resume_sharded`] would. Every cooperating worker returns the
