@@ -137,13 +137,13 @@ impl CalculationBuffer {
         self.regs = [RegTrack::INIT; NUM_REGS];
     }
 
-    #[inline]
+    #[inline(always)]
     fn reinit(&mut self, rd: Reg) {
         self.regs[rd.index()] = RegTrack::INIT;
     }
 
     /// Applies one retired instruction's Table III rule.
-    #[inline]
+    #[inline(always)]
     pub fn apply(&mut self, instr: &Instr) {
         match *instr {
             // Data movement.
@@ -176,7 +176,37 @@ impl CalculationBuffer {
         }
     }
 
-    #[inline]
+    /// Applies `k` back-to-back rounds of `body`, in one pass over it: the
+    /// state `k` rounds of [`CalculationBuffer::apply`] over `body` leave.
+    /// `body` is a counted loop's: `nop`s and `add`/`sub rX, rX, imm`
+    /// self-updates. Table III's `add rd, rs, imm` row keeps a register at
+    /// NA as it is and turns one with fixed value `v` into `(v + imm, 1)`,
+    /// so `k` retires of one self-update leave `(v + k·imm, 1)`, and each
+    /// instruction's `k` retires fold into one whatever else the body
+    /// holds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `body` holds any other instruction.
+    pub fn apply_repeated(&mut self, body: &[Instr], k: u64) {
+        if k == 0 {
+            return;
+        }
+        for instr in body {
+            let (rd, imm) = match *instr {
+                Instr::Nop => continue,
+                Instr::Add { rd, a, b: Operand::Imm(imm) } if a == rd => (rd, imm),
+                Instr::Sub { rd, a, b: Operand::Imm(imm) } if a == rd => (rd, imm.wrapping_neg()),
+                _ => panic!("`{instr}` is not a nop or an immediate self-update"),
+            };
+            let track = &mut self.regs[rd.index()];
+            if let Some(v) = track.fva {
+                *track = RegTrack::constant(v.wrapping_add(imm.wrapping_mul(k as i64)));
+            }
+        }
+    }
+
+    #[inline(always)]
     fn additive(&mut self, rd: Reg, a: Reg, b: Operand, subtract: bool) {
         let s0 = self.regs[a.index()];
         let out = match b {
@@ -211,6 +241,7 @@ impl CalculationBuffer {
         self.regs[rd.index()] = out;
     }
 
+    #[inline(always)]
     fn multiplicative(&mut self, rd: Reg, a: Reg, b: Operand, kind: MulKind) {
         let s0 = self.regs[a.index()];
         let out = match b {
@@ -563,6 +594,66 @@ mod tests {
         let c = RegTrack { fva: None, sc: Some(0x200) };
         assert_eq!(a.join(c), RegTrack { fva: None, sc: Some(0x200) });
         assert_eq!(a.join(RegTrack::INIT), RegTrack { fva: None, sc: None });
+    }
+
+    #[test]
+    fn apply_repeated_equals_k_rounds_of_apply() {
+        // Random counted-loop bodies over four registers (so instructions
+        // share destinations), immediates and fixed values drawn from the
+        // edges of `i64` half the time, random starting tracks (a fixed
+        // value with any scale, or NA) and k in 0..64: the closed form
+        // must leave exactly the state k rounds of `apply` leave.
+        fn value(rng: &mut prefender_stats::SplitMix64) -> i64 {
+            const EDGES: [i64; 7] = [0, 1, -1, i64::MIN, i64::MAX, i64::MIN + 1, i64::MAX - 1];
+            let x = rng.next_u64();
+            if x.is_multiple_of(2) {
+                EDGES[(x >> 1) as usize % EDGES.len()]
+            } else {
+                rng.next_u64() as i64
+            }
+        }
+        let mut rng = prefender_stats::SplitMix64::new(0x0C10_5ED0_F0A3_0001);
+        let regs = [Reg::R1, Reg::R2, Reg::R3, Reg::R24];
+        for round in 0..2000 {
+            let mut start = CalculationBuffer::new();
+            for &r in &regs {
+                let fva = (!rng.next_u64().is_multiple_of(3)).then(|| value(&mut rng));
+                let sc = match rng.next_u64() % 3 {
+                    0 => None,
+                    1 => Some(1),
+                    _ => Some((rng.next_u64() >> 1) as i64),
+                };
+                start.set(r, RegTrack { fva, sc });
+            }
+            let body: Vec<Instr> = (0..rng.next_u64() % 7)
+                .map(|_| {
+                    let rd = regs[(rng.next_u64() % 4) as usize];
+                    let b = Operand::Imm(value(&mut rng));
+                    match rng.next_u64() % 5 {
+                        0 => Instr::Nop,
+                        1 | 2 => Instr::Add { rd, a: rd, b },
+                        _ => Instr::Sub { rd, a: rd, b },
+                    }
+                })
+                .collect();
+            let k = rng.next_u64() % 64;
+            let mut closed = start.clone();
+            closed.apply_repeated(&body, k);
+            let mut stepped = start;
+            for _ in 0..k {
+                for i in &body {
+                    stepped.apply(i);
+                }
+            }
+            assert_eq!(closed, stepped, "round {round}: {body:?} repeated {k} times");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "is not a nop or an immediate self-update")]
+    fn apply_repeated_refuses_other_instructions() {
+        let body = Program::parse("add r1, r2, 1\n").unwrap();
+        CalculationBuffer::new().apply_repeated(body.instrs(), 1);
     }
 
     #[test]

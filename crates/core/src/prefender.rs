@@ -1,5 +1,6 @@
 //! The composed PREFENDER prefetcher.
 
+use prefender_isa::Instr;
 use prefender_prefetch::{AccessEvent, BasicPrefetcher, PrefetchRequest, Prefetcher, RetireEvent};
 use prefender_sim::{AccessKind, Addr, PrefetchSource};
 
@@ -108,6 +109,22 @@ impl Prefender {
         self.stats.total() + self.basic.as_ref().map_or(0, BasicPrefetcher::issued)
     }
 
+    /// Observes `k` back-to-back retires of `body`, a counted loop's
+    /// `nop`s and `add`/`sub rX, rX, imm` self-updates: the state `k`
+    /// rounds of [`Prefetcher::on_retire`] over it leave, computed in one
+    /// pass. Only the Scale Tracker observes retires
+    /// ([`ScaleTracker::on_retire_repeated`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `body` holds any other instruction and the Scale Tracker
+    /// is on.
+    pub fn on_retire_repeated(&mut self, body: &[Instr], k: u64) {
+        if let Some(st) = self.st.as_mut() {
+            st.on_retire_repeated(body, k);
+        }
+    }
+
     /// Clears every unit's learned state, the basic prefetcher's and the
     /// counters; the configuration is kept.
     pub fn reset(&mut self) {
@@ -130,7 +147,7 @@ impl Prefender {
 impl Prefetcher for Prefender {
     /// Only the Scale Tracker observes retires (its Table III rules fire
     /// for register writers only); neither basic prefetcher does.
-    #[inline]
+    #[inline(always)]
     fn on_retire(&mut self, ev: &RetireEvent<'_>) {
         if let Some(st) = self.st.as_mut() {
             st.on_retire(ev.instr);

@@ -52,9 +52,15 @@ impl ScaleTracker {
     }
 
     /// Observes one retired instruction (Table III update).
-    #[inline]
+    #[inline(always)]
     pub fn on_retire(&mut self, instr: &Instr) {
         self.buf.apply(instr);
+    }
+
+    /// Observes `k` back-to-back retires of a counted loop's `body` at
+    /// once (see [`CalculationBuffer::apply_repeated`]).
+    pub fn on_retire_repeated(&mut self, body: &[Instr], k: u64) {
+        self.buf.apply_repeated(body, k);
     }
 
     /// The *usable* scale of `base` — `Some(sc)` only when

@@ -3,9 +3,7 @@
 use std::fmt;
 
 use prefender_core::{Prefender, Prefetcher};
-use prefender_isa::Instr;
-#[cfg(test)]
-use prefender_isa::Reg;
+use prefender_isa::{Instr, Operand, Reg};
 use prefender_prefetch::{AccessEvent, PrefetchRequest, RetireEvent};
 use prefender_sim::{AccessKind, Addr, Cycle, FetchRun, HierarchyConfig, MemorySystem};
 
@@ -144,6 +142,36 @@ fn retire(prefetcher: &mut Option<Prefender>, core: usize, pc: u64, instr: &Inst
     }
 }
 
+/// `(rX, imm)` for `add rX, rX, imm` and `(rX, -imm)` for `sub rX, rX,
+/// imm`: a self-update by an immediate, as the step it adds (wrapping).
+fn self_update(instr: &Instr) -> Option<(Reg, u64)> {
+    match *instr {
+        Instr::Add { rd, a, b: Operand::Imm(imm) } if a == rd => Some((rd, imm as u64)),
+        Instr::Sub { rd, a, b: Operand::Imm(imm) } if a == rd => {
+            Some((rd, (imm as u64).wrapping_neg()))
+        }
+        _ => None,
+    }
+}
+
+/// The step per trip of `cond`, `1` or `u64::MAX` (-1), when `body`, the
+/// instructions a backward `bnz cond` jumps over, makes a counted
+/// register-only loop: all of them `nop`s or self-updates by an
+/// immediate, and their steps to `cond` adding up to +1 or -1.
+fn counted_step(body: &[Instr], cond: Reg) -> Option<u64> {
+    let mut step = 0u64;
+    for instr in body {
+        if matches!(instr, Instr::Nop) {
+            continue;
+        }
+        let (rd, delta) = self_update(instr)?;
+        if rd == cond {
+            step = step.wrapping_add(delta);
+        }
+    }
+    matches!(step, 1 | u64::MAX).then_some(step)
+}
+
 /// A multi-core machine: cores + hierarchy + per-core prefetchers + sparse
 /// data memory + access trace.
 ///
@@ -167,6 +195,10 @@ pub struct Machine {
     retire_fast_dispatches: u64,
     /// Observability: instructions retired through those batches.
     retire_fast_nops: u64,
+    /// Observability: counted-loop fast-forwards (see [`Machine::run`]).
+    loop_skips: u64,
+    /// Observability: instructions retired through them.
+    loop_skipped: u64,
 }
 
 impl fmt::Debug for Machine {
@@ -197,6 +229,8 @@ impl Machine {
             prefetch_scratch: Vec::new(),
             retire_fast_dispatches: 0,
             retire_fast_nops: 0,
+            loop_skips: 0,
+            loop_skipped: 0,
         }
     }
 
@@ -220,6 +254,8 @@ impl Machine {
         self.trace.clear();
         self.retire_fast_dispatches = 0;
         self.retire_fast_nops = 0;
+        self.loop_skips = 0;
+        self.loop_skipped = 0;
     }
 
     /// The memory hierarchy (stats, probes).
@@ -251,6 +287,12 @@ impl Machine {
     /// shortcut actually fires.
     pub fn retire_fast_path(&self) -> (u64, u64) {
         (self.retire_fast_dispatches, self.retire_fast_nops)
+    }
+
+    /// Counted-loop fast-forwards (see [`Machine::run`]) and the
+    /// instructions they retired without interpreting them.
+    pub fn loop_skips(&self) -> (u64, u64) {
+        (self.loop_skips, self.loop_skipped)
     }
 
     /// The access trace.
@@ -353,7 +395,8 @@ impl Machine {
 
     /// Executes one instruction on the earliest-ready running core.
     ///
-    /// Returns `false` when no core is runnable. Never batches `nop`s.
+    /// Returns `false` when no core is runnable. Never batches `nop`s or
+    /// skips loop trips.
     pub fn step(&mut self) -> bool {
         let Some(c) = self.runnable() else { return false };
         self.run_core(c, 1, NEVER, false);
@@ -363,7 +406,8 @@ impl Machine {
     /// Runs until every core halts (or the instruction cap trips), on
     /// exactly the schedule of repeated [`Machine::step`] calls: the
     /// earliest-ready core runs until another core becomes the earliest,
-    /// and `nop` runs retire in one dispatch where that is unobservable.
+    /// `nop` runs retire in one dispatch where that is unobservable, and
+    /// the trips of counted register-only loops are skipped in O(1).
     pub fn run(&mut self) -> RunSummary {
         let start_retired: u64 = self.cores.iter().map(|c| c.retired).sum();
         let mut executed = 0u64;
@@ -404,6 +448,24 @@ impl Machine {
     /// `flush` and on return. Only those three and fetches reach the
     /// hierarchy, and another core never runs inside this call, so the
     /// L1I ends each run exactly as one fetch at a time would leave it.
+    ///
+    /// A taken backward `bnz cond, top` at `j` closes a *counted
+    /// register-only loop* when every instruction in `top..j` is a `nop`
+    /// or an `add`/`sub rX, rX, imm`, their steps to `cond` add up to +1
+    /// or -1 per trip, and, with fetch modelled, `top` and `j` lie on the
+    /// line of the open fetch run (so every fetch of a trip is a counted
+    /// repeat hit; an armed flight recorder never opens a run). Such a
+    /// loop reads no register but its own, touches no memory and only
+    /// feeds the Scale Tracker's additive rule, so the state `k` more
+    /// trips leave is known in closed form: each register gains `k` times
+    /// its steps, the Scale Tracker takes
+    /// [`Prefender::on_retire_repeated`], the fetch run counts `k` trips'
+    /// fetches, and `ready_at`, `retired` and the steps grow by `k`
+    /// trips' worth. `k` is the fewest of the trips left before the one
+    /// that exits, the whole trips the rest of `budget` allows (so
+    /// [`Machine::step`] never skips) and the trips whose `bnz` starts
+    /// before `until`: the exiting trip, a partial trip at the cap and
+    /// the other cores' turns stay interpreted.
     fn run_core(&mut self, c: usize, budget: u64, until: Cycle, batch_nops: bool) -> u64 {
         // One destructure up front: every field borrow below is disjoint,
         // so the dispatch loop pays the `cores[c]` bounds check once
@@ -418,6 +480,8 @@ impl Machine {
             prefetch_scratch,
             retire_fast_dispatches,
             retire_fast_nops,
+            loop_skips,
+            loop_skipped,
         } = self;
         let core = &mut cores[c];
         let prog = core.program.as_ref().expect("running core has a program");
@@ -597,10 +661,51 @@ impl Machine {
                     cfg.branch_cost
                 }
                 Instr::Bnz { cond, target } => {
-                    if core.regs.read(cond) != 0 {
+                    let r = core.regs.read(cond);
+                    let mut cost = cfg.branch_cost;
+                    if r != 0 {
                         next = target;
+                        // A counted register-only loop: skip `k` trips.
+                        let body = prog.instrs().get(target..pc_index).unwrap_or_default();
+                        let on_run = |i| {
+                            !cfg.model_fetch || mem.in_fetch_run(&run, Addr::new(prog.pc_of(i)))
+                        };
+                        let step =
+                            counted_step(body, cond).filter(|_| on_run(target) && on_run(pc_index));
+                        if let Some(step) = step {
+                            let len = body.len() as u64 + 1;
+                            let trip = (len - 1) * cfg.alu_cost + cfg.branch_cost;
+                            // Trips until `cond` reaches 0, the exiting
+                            // one included; trip i's `bnz` starts at
+                            // t + i·trip (with no cost at all, any k is
+                            // exact).
+                            let to_exit = if step == 1 { r.wrapping_neg() } else { r };
+                            let k = (to_exit - 1)
+                                .min((budget - steps - 1) / len)
+                                .min(until.raw().saturating_sub(t.raw() + 1) / trip.max(1));
+                            if k > 0 {
+                                for instr in body {
+                                    if let Some((rd, delta)) = self_update(instr) {
+                                        let v =
+                                            core.regs.read(rd).wrapping_add(delta.wrapping_mul(k));
+                                        core.regs.write(rd, v);
+                                    }
+                                }
+                                if let Some(pf) = prefetcher.as_mut() {
+                                    pf.on_retire_repeated(body, k);
+                                }
+                                if cfg.model_fetch {
+                                    run.repeat(k * len, t + k * trip);
+                                }
+                                cost += k * trip;
+                                retired += k * len;
+                                steps += k * len;
+                                *loop_skips += 1;
+                                *loop_skipped += k * len;
+                            }
+                        }
                     }
-                    cfg.branch_cost
+                    cost
                 }
                 Instr::Beq { a, b, target } => {
                     if core.regs.read(a) == core.regs.read(b) {
@@ -923,6 +1028,42 @@ mod tests {
         Program::parse(&src).unwrap()
     }
 
+    /// PREFENDER with every unit on and no basic prefetcher: the Scale
+    /// Tracker sees every retire.
+    fn full() -> Prefender {
+        Prefender::builder(64, 4096).build()
+    }
+
+    /// Three counted register-only loops on the tiny hierarchy. The first
+    /// steps its counter by -1 on one L1I line; a run capped at 17 ends
+    /// right after its skipped trips. It steps r2, loaded from memory (its
+    /// fixed value NA) and scaled by `mul`, and r3, set by `li` (its fixed
+    /// value known). The second, also on one line, holds a `nop` and
+    /// steps its counter by +3 and -2, from -40 or below up to 0. Then the
+    /// program flushes that line, which another core may still be looping
+    /// on. The third straddles L1I lines 1 to 17, three lines of one
+    /// 2-way set, so each of its trips misses; with fetch modelled it is
+    /// never skipped. A last load through r2 lets the Scale Tracker
+    /// prefetch.
+    fn counted_loops(trips: usize) -> Program {
+        let src = format!(
+            "li r1, 0x9000\nld r2, 0(r1)\nmul r2, r2, 0x200\nli r3, 0x40\nli r4, {}\n\
+             top1:\nadd r2, r2, 64\nadd r3, r3, 8\nsub r4, r4, 1\nbnz r4, top1\n\
+             li r5, -{}\ntop2:\nnop\nadd r5, r5, 3\nadd r6, r6, 5\nsub r5, r5, 2\nbnz r5, top2\n\
+             li r11, 0x8000\nflush 0(r11)\nli r7, {trips}\n\
+             top3:\nadd r8, r8, 1\n{}sub r7, r7, 1\nbnz r7, top3\n\
+             add r9, r1, r2\nld r10, 0(r9)\nhalt\n",
+            4 * trips,
+            8 * trips + 16,
+            "nop\n".repeat(254),
+        );
+        let p = Program::parse(&src).unwrap();
+        assert_eq!((p.pc_of(5) >> 6, p.pc_of(8) >> 6), (0x200, 0x200));
+        assert_eq!((p.pc_of(10) >> 6, p.pc_of(14) >> 6), (0x200, 0x200));
+        assert_eq!((p.pc_of(18) >> 6, p.pc_of(274) >> 6), (0x201, 0x211));
+        p
+    }
+
     #[test]
     fn run_takes_the_single_step_schedule() {
         // Every core runs the same loop over shared lines, a different
@@ -938,23 +1079,28 @@ mod tests {
         type Input = (
             fn(usize) -> Result<HierarchyConfig, prefender_sim::ConfigError>,
             fn(usize) -> Program,
+            fn() -> Prefender,
         );
-        let build = |(hierarchy, program): Input, cores: usize, model_fetch: bool, cap: u64| {
-            let mut m = Machine::with_cpu_config(
-                hierarchy(cores).unwrap(),
-                CpuConfig { model_fetch, max_instructions: cap, ..CpuConfig::default() },
-            );
-            m.trace_mut().set_enabled(true);
-            for c in 0..cores {
-                m.set_prefetcher(c, tagged());
-                m.load_program(c, program(3 + 2 * c));
-            }
-            m
-        };
+        let build =
+            |(hierarchy, program, prefetcher): Input, cores: usize, model_fetch: bool, cap: u64| {
+                let mut m = Machine::with_cpu_config(
+                    hierarchy(cores).unwrap(),
+                    CpuConfig { model_fetch, max_instructions: cap, ..CpuConfig::default() },
+                );
+                m.trace_mut().set_enabled(true);
+                for c in 0..cores {
+                    m.set_prefetcher(c, prefetcher());
+                    m.load_program(c, program(3 + 2 * c));
+                }
+                m
+            };
         let uncapped = CpuConfig::default().max_instructions;
-        let strided: Input = (HierarchyConfig::paper_baseline, strided);
-        let code_lines: Input = (HierarchyConfig::tiny, one_set_code_lines);
-        for (name, input) in [("strided", strided), ("code lines", code_lines)] {
+        let strided: Input = (HierarchyConfig::paper_baseline, strided, tagged);
+        let code_lines: Input = (HierarchyConfig::tiny, one_set_code_lines, tagged);
+        let counted: Input = (HierarchyConfig::tiny, counted_loops, full);
+        for (name, input) in
+            [("strided", strided), ("code lines", code_lines), ("counted", counted)]
+        {
             for cores in 1..=3 {
                 for model_fetch in [true, false] {
                     for cap in [uncapped, 17] {
@@ -971,6 +1117,11 @@ mod tests {
                         assert_eq!(run.trace().entries(), stepped.trace().entries(), "{case}");
                         assert!(!run.trace().entries().is_empty(), "{case}");
                         assert_eq!(run.now(), stepped.now(), "{case}");
+                        // The equivalence must not hold for want of a skip.
+                        assert_eq!(stepped.loop_skips(), (0, 0), "{case}");
+                        if name == "counted" && cap == uncapped {
+                            assert!(run.loop_skips().0 > 0, "{case}");
+                        }
                         for c in 0..cores {
                             let (r, s) = (run.core(c), stepped.core(c));
                             assert_eq!(
@@ -979,13 +1130,20 @@ mod tests {
                                 "{case}"
                             );
                             assert_eq!(r.regs(), s.regs(), "{case}");
-                            let (rm, sm) = (run.mem(), stepped.mem());
-                            assert_eq!(rm.l1i(c).stats(), sm.l1i(c).stats(), "{case}");
+                            let calc = |m: &Machine| {
+                                m.prefetcher(c)
+                                    .and_then(Prefender::scale_tracker)
+                                    .map(|st| st.calc().clone())
+                            };
+                            assert_eq!(calc(&run), calc(&stepped), "{case}");
                             assert_eq!(
-                                rm.l1i(c).resident_lines(),
-                                sm.l1i(c).resident_lines(),
+                                run.prefetcher(c).unwrap().stats(),
+                                stepped.prefetcher(c).unwrap().stats(),
                                 "{case}"
                             );
+                            let (rm, sm) = (run.mem(), stepped.mem());
+                            assert_eq!(rm.l1i(c).stats(), sm.l1i(c).stats(), "{case}");
+                            assert_eq!(rm.l1i(c).recency(), sm.l1i(c).recency(), "{case}");
                             assert_eq!(rm.l1d(c).stats(), sm.l1d(c).stats(), "{case}");
                         }
                         assert_eq!(run.mem().l2().stats(), stepped.mem().l2().stats(), "{case}");

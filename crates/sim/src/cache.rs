@@ -554,6 +554,19 @@ impl Cache {
         v
     }
 
+    /// Every installed line with its last touch, in address order: the
+    /// recency LRU picks victims by (test/debug helper).
+    pub fn recency(&self) -> Vec<(Addr, Cycle)> {
+        let mut v: Vec<(Addr, Cycle)> = self
+            .sets
+            .iter()
+            .filter(|l| l.valid)
+            .map(|l| (Addr::new(l.tag), l.last_touch))
+            .collect();
+        v.sort_unstable();
+        v
+    }
+
     fn pick_victim(&mut self, set: usize) -> usize {
         let ways = &self.sets[set * self.assoc..(set + 1) * self.assoc];
         if let Some(i) = ways.iter().position(|l| !l.valid) {

@@ -82,6 +82,16 @@ pub struct FetchRun {
 impl FetchRun {
     /// No line: a line address is aligned, so this never matches one.
     const CLOSED: u64 = u64::MAX;
+
+    /// Counts `n` more fetches of the run's line, the last at `last`:
+    /// what `n` more [`MemorySystem::fetch_in_run`] calls on that line
+    /// do. Only valid on an open run ([`MemorySystem::in_fetch_run`]).
+    #[inline]
+    pub fn repeat(&mut self, n: u64, last: Cycle) {
+        debug_assert!(self.line != Self::CLOSED, "a closed run counts no fetch");
+        self.fetches += n;
+        self.last = last;
+    }
 }
 
 impl Default for FetchRun {
@@ -424,6 +434,13 @@ impl MemorySystem {
             run.line = line;
         }
         stall
+    }
+
+    /// `true` when `run` is open on the L1I line of `addr`: a fetch of
+    /// `addr` by the core that holds `run` is then only counted in it.
+    #[inline]
+    pub fn in_fetch_run(&self, run: &FetchRun, addr: Addr) -> bool {
+        self.cfg.l1i.line_addr_of(addr) == run.line
     }
 
     /// Hands `run`'s fetches to `core`'s L1I, with the counters and the
@@ -889,6 +906,36 @@ mod tests {
             let s = m.l1i(0).stats();
             assert_eq!((s.demand_accesses, s.demand_hits), (6, 3), "runs {runs}");
         }
+    }
+
+    #[test]
+    fn a_run_counts_repeated_fetches_at_once() {
+        // `FetchRun::repeat(n, last)` leaves the L1I as `n` more fetches
+        // of the run's line, the last at `last`, leave it.
+        let line = 0x1000;
+        let mut ends = Vec::new();
+        for at_once in [false, true] {
+            let mut m = MemorySystem::new(HierarchyConfig::tiny(1).unwrap());
+            let mut run = FetchRun::default();
+            m.fetch_in_run(0, Addr::new(line), Cycle::ZERO, &mut run);
+            m.fetch_in_run(0, Addr::new(line + 4), Cycle::new(300), &mut run);
+            assert!(m.in_fetch_run(&run, Addr::new(line + 60)));
+            assert!(!m.in_fetch_run(&run, Addr::new(line + 64)));
+            if at_once {
+                run.repeat(5, Cycle::new(340));
+            } else {
+                for i in 1..=5 {
+                    let pc = Addr::new(line + 4 * (i % 3));
+                    m.fetch_in_run(0, pc, Cycle::new(300 + 8 * i), &mut run);
+                }
+            }
+            m.end_fetch_run(0, &mut run);
+            assert!(!m.in_fetch_run(&run, Addr::new(line)), "a closed run holds no line");
+            ends.push((*m.l1i(0).stats(), m.l1i(0).recency()));
+        }
+        assert_eq!(ends[0], ends[1]);
+        assert_eq!(ends[1].1, [(Addr::new(line), Cycle::new(340))]);
+        assert_eq!((ends[1].0.demand_accesses, ends[1].0.demand_hits), (7, 6));
     }
 
     // Drives one deterministic mixed schedule (accesses, prefetches,
