@@ -55,6 +55,7 @@ impl Default for RegTrack {
 
 /// Normalizes a scale: magnitudes only (a negative stride selects the same
 /// set of cachelines), `0` collapses to *NA* (no stepping at all).
+#[inline]
 fn norm(sc: i64) -> Option<i64> {
     match sc.checked_abs() {
         Some(0) | None => None,
@@ -65,6 +66,7 @@ fn norm(sc: i64) -> Option<i64> {
 /// Saturating-checked product of two scales; overflow → `None` (a scale
 /// beyond `i64` is far past any page size, so *NA* is the conservative
 /// answer and what little hardware width the paper budgets would do).
+#[inline]
 fn mul_sc(a: Option<i64>, b: Option<i64>) -> Option<i64> {
     match (a, b) {
         (Some(x), Some(y)) => x.checked_mul(y).and_then(norm),
@@ -75,6 +77,7 @@ fn mul_sc(a: Option<i64>, b: Option<i64>) -> Option<i64> {
 /// `min` of two scales; an *NA* side yields the other (the paper's NA/NA
 /// rows assume both defined — when one degenerated to NA we keep the
 /// usable one).
+#[inline]
 fn min_sc(a: Option<i64>, b: Option<i64>) -> Option<i64> {
     match (a, b) {
         (Some(x), Some(y)) => Some(x.min(y)),
@@ -302,6 +305,7 @@ enum MulKind {
 impl MulKind {
     /// The multiplicative factor a shift amount corresponds to, or the
     /// immediate itself for `mul`. `None` when no linear factor exists.
+    #[inline]
     fn factor(self, amount: i64) -> Option<i64> {
         match self {
             MulKind::Mul => Some(amount),
@@ -326,6 +330,7 @@ impl MulKind {
     }
 
     /// Applies the operation to two constants.
+    #[inline]
     fn apply(self, a: i64, b: i64) -> Option<i64> {
         match self {
             MulKind::Mul => Some(a.wrapping_mul(b)),

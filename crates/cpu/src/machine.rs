@@ -676,9 +676,9 @@ impl Machine {
                             let len = body.len() as u64 + 1;
                             let trip = (len - 1) * cfg.alu_cost + cfg.branch_cost;
                             // Trips until `cond` reaches 0, the exiting
-                            // one included; trip i's `bnz` starts at
-                            // t + i·trip (with no cost at all, any k is
-                            // exact).
+                            // one included. Trip i's `bnz` starts at
+                            // t + i·trip; `trip.max(1)` only skips fewer
+                            // zero-cost trips, which is still exact.
                             let to_exit = if step == 1 { r.wrapping_neg() } else { r };
                             let k = (to_exit - 1)
                                 .min((budget - steps - 1) / len)
