@@ -763,21 +763,7 @@ fn run_phase(
                 return Err(AttackError::Truncated);
             }
         }
-        Some(bucket) => {
-            let mut next = m.now().raw() + bucket;
-            while m.step() {
-                if m.now().raw() >= next {
-                    let (s, protected) = total_stats(m);
-                    timeline.push(TimelinePoint {
-                        at: m.now().raw(),
-                        st: s.st_prefetches,
-                        at_count: s.at_prefetches,
-                        rp: s.rp_prefetches,
-                        protected,
-                    });
-                    next += bucket;
-                }
-            }
+        Some(bucket) => m.run_sampled(bucket, |m| {
             let (s, protected) = total_stats(m);
             timeline.push(TimelinePoint {
                 at: m.now().raw(),
@@ -786,7 +772,7 @@ fn run_phase(
                 rp: s.rp_prefetches,
                 protected,
             });
-        }
+        }),
     }
     Ok(())
 }

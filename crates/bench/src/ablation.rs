@@ -5,10 +5,10 @@ use prefender_core::{AtConfig, Prefender, RpConfig};
 use prefender_cpu::{CpuConfig, Machine};
 use prefender_sim::{CacheConfig, HierarchyConfig, ReplacementPolicy};
 use prefender_stats::{speedup_pct, Table, Xoshiro256};
-use prefender_sweep::{parallel_map, parallel_map_2d};
+use prefender_sweep::{parallel_map, parallel_map_2d, Basic, DefenseConfig, DefensePoint};
 use prefender_workloads::spec2006;
 
-use prefender_sweep::perf::{run_perf, Basic, PerfColumn, PrefenderKind};
+use crate::tables::{workload_results, BASE};
 
 /// Workloads used by the fast ablation sweeps (one per idiom family).
 const ABLATION_WORKLOADS: [&str; 4] = ["462.libquantum", "429.mcf", "483.xalancbmk", "445.gobmk"];
@@ -57,24 +57,17 @@ pub fn custom_flush_reload(build: impl Fn() -> Prefender, c3_noise: bool) -> (Ve
 pub fn ablate_buffers() -> String {
     let mut t = Table::new(vec!["Buffers".into(), "Avg speedup".into(), "F+R C3 defense".into()]);
     let workloads = sweep_workloads();
-    // Each buffer count is an independent campaign point — shard the
-    // whole sweep over the engine's deterministic parallel map.
     let points = [8usize, 16, 32, 64, 128];
-    let rows = parallel_map(&points, 0, |&buffers| {
-        let mut sum = 0.0;
-        for w in &workloads {
-            let base = run_perf(w, PerfColumn::BASELINE, None).cycles as f64;
-            let col =
-                PerfColumn { prefender: Some(PrefenderKind::Full { buffers }), basic: Basic::None };
-            sum += speedup_pct(base, run_perf(w, col, None).cycles as f64);
-        }
-        let (_, leaked) = custom_flush_reload(
-            || Prefender::builder(64, 4096).access_buffers(buffers).build(),
-            true,
-        );
-        (buffers, sum / workloads.len() as f64, leaked)
+    let mut defenses = vec![BASE];
+    defenses.extend(points.map(|buffers| DefensePoint { config: DefenseConfig::Full, buffers }));
+    let results = workload_results(&workloads, &defenses, &[Basic::None]);
+    let leaked = parallel_map(&points, 0, |&buffers| {
+        custom_flush_reload(|| Prefender::builder(64, 4096).access_buffers(buffers).build(), true).1
     });
-    for (buffers, speedup, leaked) in rows {
+    for (k, (buffers, leaked)) in points.into_iter().zip(leaked).enumerate() {
+        let speedups =
+            results.iter().map(|row| speedup_pct(row[0].cycles as f64, row[k + 1].cycles as f64));
+        let speedup = speedups.sum::<f64>() / workloads.len() as f64;
         t.row(vec![
             buffers.to_string(),
             format!("{speedup:+.3}%"),

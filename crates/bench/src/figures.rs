@@ -1,9 +1,11 @@
 //! Figures 10, 11 and 12: miss latency, prefetch counts, protected buffers.
 
+use prefender_core::Prefender;
 use prefender_stats::{Series, Table};
-use prefender_workloads::spec2006;
+use prefender_sweep::{workload_machine, Basic, DefenseConfig, DefensePoint, Hierarchy};
+use prefender_workloads::{spec2006, Workload};
 
-use prefender_sweep::perf::{run_perf, Basic, PerfColumn, PrefenderKind};
+use crate::tables::{at32_defenses, columns, workload_results, BASE};
 
 /// Figure 10 data: per-benchmark total L1D demand-miss latency, normalized
 /// to the no-prefetcher baseline, for each configuration.
@@ -47,40 +49,39 @@ impl Figure10 {
     }
 }
 
-fn fig10_columns() -> Vec<(String, PerfColumn)> {
-    let st_at = |basic| PerfColumn { prefender: Some(PrefenderKind::StAt { buffers: 32 }), basic };
-    let full = |basic| PerfColumn { prefender: Some(PrefenderKind::Full { buffers: 32 }), basic };
-    vec![
-        ("Prefender-ST+AT".into(), st_at(Basic::None)),
-        ("Prefender".into(), full(Basic::None)),
-        ("Tagged".into(), PerfColumn { prefender: None, basic: Basic::Tagged }),
-        ("P-ST+AT(Tagged)".into(), st_at(Basic::Tagged)),
-        ("Prefender(Tagged)".into(), full(Basic::Tagged)),
-        ("Stride".into(), PerfColumn { prefender: None, basic: Basic::Stride }),
-        ("P-ST+AT(Stride)".into(), st_at(Basic::Stride)),
-        ("Prefender(Stride)".into(), full(Basic::Stride)),
-    ]
+/// Figure 10's configuration names, in the order of the Table VI
+/// columns it plots.
+const FIG10_CONFIGS: [&str; 8] = [
+    "Prefender-ST+AT",
+    "Prefender",
+    "Tagged",
+    "P-ST+AT(Tagged)",
+    "Prefender(Tagged)",
+    "Stride",
+    "P-ST+AT(Stride)",
+    "Prefender(Stride)",
+];
+
+/// The SPEC 2006 workloads named in `only` (all 12 for `None`).
+fn spec2006_only(only: Option<&[&str]>) -> Vec<Workload> {
+    spec2006().into_iter().filter(|w| only.is_none_or(|names| names.contains(&w.name()))).collect()
 }
 
 /// Regenerates Figure 10 over the given benchmark names (default: all 12).
 pub fn figure10(only: Option<&[&str]>) -> Figure10 {
-    let cols = fig10_columns();
-    let configs = cols.iter().map(|(n, _)| n.clone()).collect();
-    let mut rows = Vec::new();
-    for w in spec2006() {
-        if let Some(filter) = only {
-            if !filter.contains(&w.name()) {
-                continue;
-            }
-        }
-        let base = run_perf(&w, PerfColumn::BASELINE, None).l1d.demand_miss_latency.max(1) as f64;
-        let vals = cols
-            .iter()
-            .map(|(_, c)| run_perf(&w, *c, None).l1d.demand_miss_latency as f64 / base)
-            .collect();
-        rows.push((w.name().to_string(), vals));
-    }
-    Figure10 { configs, rows }
+    let workloads = spec2006_only(only);
+    let cols = columns(&at32_defenses());
+    let results = workload_results(&workloads, &at32_defenses(), &Basic::ALL);
+    let rows = workloads
+        .iter()
+        .zip(&results)
+        .map(|(w, row)| {
+            let base = row[0].demand_miss_latency.max(1) as f64;
+            let vals = cols.iter().map(|&(cell, _)| row[cell].demand_miss_latency as f64 / base);
+            (w.name().to_string(), vals.collect())
+        })
+        .collect();
+    Figure10 { configs: FIG10_CONFIGS.map(String::from).to_vec(), rows }
 }
 
 /// Figure 11 data: prefetch counts by unit (ST/AT/RP) per benchmark, for
@@ -118,24 +119,13 @@ impl Figure11 {
 
 /// Regenerates Figure 11 (full PREFENDER, 32 buffers, per basic config).
 pub fn figure11(only: Option<&[&str]>) -> Figure11 {
+    let workloads = spec2006_only(only);
+    let full = DefensePoint::new(DefenseConfig::Full);
     let mut rows = Vec::new();
-    for w in spec2006() {
-        if let Some(filter) = only {
-            if !filter.contains(&w.name()) {
-                continue;
-            }
-        }
-        for basic in [Basic::None, Basic::Tagged, Basic::Stride] {
-            let col = PerfColumn { prefender: Some(PrefenderKind::Full { buffers: 32 }), basic };
-            let r = run_perf(&w, col, None);
-            let s = r.prefender;
-            rows.push((
-                w.name().to_string(),
-                basic.to_string(),
-                s.st_prefetches,
-                s.at_prefetches,
-                s.rp_prefetches,
-            ));
+    for (w, row) in workloads.iter().zip(workload_results(&workloads, &[full], &Basic::ALL)) {
+        for (basic, r) in Basic::ALL.into_iter().zip(row) {
+            let name = w.name().to_string();
+            rows.push((name, basic.to_string(), r.st_prefetches, r.at_prefetches, r.rp_prefetches));
         }
     }
     Figure11 { rows }
@@ -145,23 +135,22 @@ pub fn figure11(only: Option<&[&str]>) -> Figure11 {
 /// each benchmark's execution (full PREFENDER, 32 buffers, no basic —
 /// the paper's Table V column 2 configuration).
 pub fn figure12(only: Option<&[&str]>, buckets: usize) -> Vec<Series> {
+    let workloads = spec2006_only(only);
+    // Each workload's baseline cycles set its sample interval, so every
+    // workload yields roughly `buckets` points.
+    let baseline = workload_results(&workloads, &[BASE], &[Basic::None]);
+    let full = DefensePoint::new(DefenseConfig::Full);
     let mut out = Vec::new();
-    for w in spec2006() {
-        if let Some(filter) = only {
-            if !filter.contains(&w.name()) {
-                continue;
-            }
-        }
-        let col =
-            PerfColumn { prefender: Some(PrefenderKind::Full { buffers: 32 }), basic: Basic::None };
-        // Pick the sample interval from a quick baseline cycle estimate so
-        // every workload yields roughly `buckets` points.
-        let cycles = run_perf(&w, PerfColumn::BASELINE, None).cycles;
-        let every = (cycles / buckets.max(1) as u64).max(1_000);
-        let r = run_perf(&w, col, Some(every));
+    for (w, base) in workloads.iter().zip(&baseline) {
+        let every = (base[0].cycles / buckets.max(1) as u64).max(1_000);
+        let mut m = workload_machine(w, full, Basic::None, Hierarchy::Paper);
+        let mut points = Vec::new();
+        m.run_sampled(every, |m| {
+            points.push((m.now().raw(), m.prefetcher(0).map_or(0, Prefender::protected_count)));
+        });
         let mut s = Series::new(w.name());
-        let total = r.cycles.max(1) as f64;
-        for (at, protected) in r.protected_series {
+        let total = m.now().raw().max(1) as f64;
+        for (at, protected) in points {
             s.push(at as f64 / total * 100.0, protected as f64);
         }
         out.push(s);
@@ -175,7 +164,7 @@ mod tests {
 
     #[test]
     fn fig10_column_count_matches_paper() {
-        assert_eq!(fig10_columns().len(), 8);
+        assert_eq!(columns(&at32_defenses()).len(), FIG10_CONFIGS.len());
     }
 
     #[test]
@@ -202,5 +191,7 @@ mod tests {
         let pts = series[0].points();
         assert!(!pts.is_empty());
         assert!(pts.iter().all(|&(x, _)| (0.0..=100.0).contains(&x)));
+        // specrand performs no loads: never any protected buffer.
+        assert!(pts.iter().all(|&(_, y)| y == 0.0));
     }
 }

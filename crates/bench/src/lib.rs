@@ -33,8 +33,3 @@ pub mod leakage;
 pub mod security;
 pub mod simbench;
 pub mod tables;
-
-// The performance-run machinery lives beside the sweep engine
-// (`prefender_sweep::perf`); the types are flattened here for the
-// harness's callers.
-pub use prefender_sweep::perf::{Basic, PerfColumn, PerfResult, PrefenderKind};

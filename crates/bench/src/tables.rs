@@ -1,10 +1,10 @@
 //! Tables IV, V and VI: SPEC speedup tables.
 
 use prefender_stats::{speedup_pct, Table};
-use prefender_sweep::parallel_map_2d;
+use prefender_sweep::{
+    run_sweep, Basic, DefenseConfig, DefensePoint, ScenarioResult, SweepGrid, SweepOptions,
+};
 use prefender_workloads::{spec2006, spec2017, Workload};
-
-use prefender_sweep::perf::{run_perf, Basic, PerfColumn, PrefenderKind};
 
 /// One regenerated speedup table: headers, per-benchmark speedup rows and
 /// the average row, in percent versus the no-prefetcher baseline.
@@ -41,24 +41,76 @@ impl SpeedupTable {
     }
 }
 
-fn build(workloads: &[Workload], columns: &[PerfColumn]) -> SpeedupTable {
+/// Runs every workload of `workloads` under `defenses × basics` on the
+/// paper hierarchy, as one workload grid on the sweep engine, and returns
+/// each workload's results in grid order: defense-major, then basic.
+///
+/// # Panics
+///
+/// Panics if a run stops at the instruction cap.
+pub(crate) fn workload_results(
+    workloads: &[Workload],
+    defenses: &[DefensePoint],
+    basics: &[Basic],
+) -> Vec<Vec<ScenarioResult>> {
+    let grid = SweepGrid {
+        workloads: workloads.iter().map(|w| w.name().to_string()).collect(),
+        defenses: defenses.to_vec(),
+        basics: basics.to_vec(),
+        ..SweepGrid::empty()
+    };
+    let results = run_sweep(&grid, &SweepOptions::default()).results;
+    for r in &results {
+        assert!(!r.truncated, "scenario {} truncated", r.id);
+    }
+    results.chunks(defenses.len() * basics.len()).map(<[_]>::to_vec).collect()
+}
+
+/// The no-prefetcher baseline every speedup is measured against.
+pub(crate) const BASE: DefensePoint = DefensePoint::new(DefenseConfig::None);
+
+/// A column label in the paper's style: `P-ST+AT/16`, `Tagged`,
+/// `Prefender/32(Stride)`.
+pub(crate) fn label(defense: DefensePoint, basic: Basic) -> String {
+    let unit = match defense.config {
+        DefenseConfig::None if basic == Basic::None => return "Baseline".into(),
+        DefenseConfig::None => return basic.to_string(),
+        DefenseConfig::StAt => "P-ST+AT".to_string(),
+        config => config.to_string(),
+    };
+    match basic {
+        Basic::None => format!("{unit}/{}", defense.buffers),
+        basic => format!("{unit}/{}({basic})", defense.buffers),
+    }
+}
+
+/// The columns over `defenses` (the baseline first) × every basic
+/// prefetcher, as each one's index into a workload's
+/// [`workload_results`] and its label: per basic prefetcher, the basic
+/// prefetcher alone (skipped for none, which is the baseline) and then
+/// each PREFENDER point over it.
+pub(crate) fn columns(defenses: &[DefensePoint]) -> Vec<(usize, String)> {
+    let mut cols = Vec::new();
+    for (b, basic) in Basic::ALL.into_iter().enumerate() {
+        for (d, &defense) in defenses.iter().enumerate().skip(usize::from(basic == Basic::None)) {
+            cols.push((d * Basic::ALL.len() + b, label(defense, basic)));
+        }
+    }
+    cols
+}
+
+fn build(workloads: &[Workload], defenses: &[DefensePoint]) -> SpeedupTable {
+    let columns = columns(defenses);
     let mut headers = vec!["Benchmark".to_string()];
-    headers.extend(columns.iter().map(PerfColumn::label));
-    // One work cell per (workload, column) — column 0 is the per-workload
-    // baseline — sharded over the sweep engine's worker pool. Cells are
-    // pure and the map is order-preserving, so the table is identical to
-    // the old serial nested loop at any thread count.
-    let cycles = parallel_map_2d(workloads.len(), columns.len() + 1, 0, |w, c| {
-        let column = if c == 0 { PerfColumn::BASELINE } else { columns[c - 1] };
-        run_perf(&workloads[w], column, None).cycles as f64
-    });
+    headers.extend(columns.iter().map(|(_, label)| label.clone()));
+    let results = workload_results(workloads, defenses, &Basic::ALL);
     let mut rows = Vec::with_capacity(workloads.len());
     let mut sums = vec![0.0f64; columns.len()];
-    for (workload, row) in workloads.iter().zip(&cycles) {
-        let base = row[0];
+    for (workload, row) in workloads.iter().zip(&results) {
+        let base = row[0].cycles as f64;
         let mut vals = Vec::with_capacity(columns.len());
-        for (sum, cell) in sums.iter_mut().zip(&row[1..]) {
-            let s = speedup_pct(base, *cell);
+        for (sum, &(cell, _)) in sums.iter_mut().zip(&columns) {
+            let s = speedup_pct(base, row[cell].cycles as f64);
             *sum += s;
             vals.push(s);
         }
@@ -69,51 +121,37 @@ fn build(workloads: &[Workload], columns: &[PerfColumn]) -> SpeedupTable {
     SpeedupTable { headers, rows, avg }
 }
 
-/// The eleven columns of Tables IV/V: PREFENDER alone at 16/32/64
-/// buffers, Tagged, PREFENDER-over-Tagged at 16/32/64, Stride,
-/// PREFENDER-over-Stride at 16/32/64.
-fn table45_columns(rp: bool) -> Vec<PerfColumn> {
-    let kind = |buffers| {
-        if rp {
-            PrefenderKind::Full { buffers }
-        } else {
-            PrefenderKind::StAt { buffers }
-        }
-    };
-    let mut cols = Vec::new();
-    for basic in [Basic::None, Basic::Tagged, Basic::Stride] {
-        if basic != Basic::None {
-            cols.push(PerfColumn { prefender: None, basic });
-        }
-        for buffers in [16, 32, 64] {
-            cols.push(PerfColumn { prefender: Some(kind(buffers)), basic });
-        }
-    }
-    cols
+/// The baseline and PREFENDER at 16/32/64 buffers, the defenses of
+/// Tables IV/V: their eleven columns are PREFENDER alone at each count,
+/// Tagged, PREFENDER over Tagged at each count, Stride, PREFENDER over
+/// Stride at each count.
+fn table45_defenses(rp: bool) -> Vec<DefensePoint> {
+    let config = if rp { DefenseConfig::Full } else { DefenseConfig::StAt };
+    let mut defenses = vec![BASE];
+    defenses.extend([16, 32, 64].map(|buffers| DefensePoint { config, buffers }));
+    defenses
+}
+
+/// The baseline, ST+AT and full PREFENDER at 32 buffers: the defenses of
+/// Table VI and Figure 10.
+pub(crate) fn at32_defenses() -> [DefensePoint; 3] {
+    [BASE, DefensePoint::new(DefenseConfig::StAt), DefensePoint::new(DefenseConfig::Full)]
 }
 
 /// Table IV: SPEC 2006 speedups *without* the Record Protector.
 pub fn table4() -> SpeedupTable {
-    build(&spec2006(), &table45_columns(false))
+    build(&spec2006(), &table45_defenses(false))
 }
 
 /// Table V: SPEC 2006 speedups *with* the Record Protector.
 pub fn table5() -> SpeedupTable {
-    build(&spec2006(), &table45_columns(true))
+    build(&spec2006(), &table45_defenses(true))
 }
 
 /// Table VI: SPEC 2017 speedups, ST+AT and full PREFENDER at 32 buffers
 /// over each basic prefetcher.
 pub fn table6() -> SpeedupTable {
-    let mut cols = Vec::new();
-    for basic in [Basic::None, Basic::Tagged, Basic::Stride] {
-        if basic != Basic::None {
-            cols.push(PerfColumn { prefender: None, basic });
-        }
-        cols.push(PerfColumn { prefender: Some(PrefenderKind::StAt { buffers: 32 }), basic });
-        cols.push(PerfColumn { prefender: Some(PrefenderKind::Full { buffers: 32 }), basic });
-    }
-    build(&spec2017(), &cols)
+    build(&spec2017(), &at32_defenses())
 }
 
 #[cfg(test)]
@@ -122,13 +160,17 @@ mod tests {
 
     #[test]
     fn table45_column_shape() {
-        let cols = table45_columns(false);
+        let cols = columns(&table45_defenses(false));
         assert_eq!(cols.len(), 11, "the paper's Tables IV/V have 11 data columns");
-        assert_eq!(cols[0].label(), "P-ST+AT/16");
-        assert_eq!(cols[3].label(), "Tagged");
-        assert_eq!(cols[10].label(), "P-ST+AT/64(Stride)");
-        let cols = table45_columns(true);
-        assert_eq!(cols[0].label(), "Prefender/16");
+        assert_eq!(cols[0].1, "P-ST+AT/16");
+        assert_eq!(cols[3].1, "Tagged");
+        assert_eq!(cols[10].1, "P-ST+AT/64(Stride)");
+        let cols = columns(&table45_defenses(true));
+        assert_eq!(cols[0].1, "Prefender/16");
+        let labels: Vec<String> = columns(&at32_defenses()).into_iter().map(|c| c.1).collect();
+        assert_eq!(labels.len(), 8, "Table VI has 8 data columns");
+        assert_eq!(labels[5..], ["Stride", "P-ST+AT/32(Stride)", "Prefender/32(Stride)"]);
+        assert_eq!(label(BASE, Basic::None), "Baseline");
     }
 
     // The full tables run in CI's `repro all` step (they take seconds);
@@ -139,11 +181,26 @@ mod tests {
             .into_iter()
             .filter(|w| w.name() == "462.libquantum" || w.name() == "999.specrand")
             .collect();
-        let t = build(&workloads, &table45_columns(false));
+        let t = build(&workloads, &table45_defenses(false));
         let lib = t.speedup("462.libquantum", "P-ST+AT/32").unwrap();
         assert!(lib > 0.0, "libquantum should gain: {lib}");
+        let tagged = t.speedup("462.libquantum", "Tagged").unwrap();
+        assert!(tagged > 0.0, "tagged must speed up streaming: {tagged}");
         let rand = t.speedup("999.specrand", "P-ST+AT/32").unwrap();
         assert!(rand.abs() < 0.5, "specrand should be flat: {rand}");
         assert!(t.render().contains("Avg."));
+    }
+
+    #[test]
+    fn slice_of_table6_gains_from_the_scale_tracker() {
+        let parest: Vec<_> =
+            spec2017().into_iter().filter(|w| w.name() == "510.parest_r").collect();
+        let t = build(&parest, &at32_defenses());
+        let gain = t.speedup("510.parest_r", "P-ST+AT/32").unwrap();
+        assert!(gain > 0.0, "PREFENDER must speed up scaled gathers: {gain}");
+        let (cell, _) =
+            columns(&at32_defenses()).into_iter().find(|c| c.1 == "P-ST+AT/32").unwrap();
+        let results = workload_results(&parest, &at32_defenses(), &Basic::ALL);
+        assert!(results[0][cell].st_prefetches > 0, "the ST must have fired");
     }
 }

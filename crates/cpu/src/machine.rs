@@ -10,20 +10,21 @@ use prefender_sim::{AccessKind, Addr, Cycle, FetchRun, HierarchyConfig, MemorySy
 use crate::core_model::{Core, CoreState};
 use crate::trace::{MemTrace, TraceEntry};
 
-/// Per-instruction timing costs and execution limits.
+/// Cycles for simple ALU ops, moves, `li`, `rdtsc`, `nop`.
+const ALU_COST: u64 = 1;
+/// Cycles for multiplication.
+const MUL_COST: u64 = 3;
+/// Cycles for branches (taken or not).
+const BRANCH_COST: u64 = 1;
+/// Retire cost of a store (the cache access happens asynchronously
+/// through a store buffer; only state effects are modelled).
+const STORE_COST: u64 = 1;
+/// Base cost of a `flush`, added to the hierarchy's flush latency.
+const FLUSH_COST: u64 = 1;
+
+/// Execution options: instruction fetch and the instruction cap.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CpuConfig {
-    /// Cycles for simple ALU ops, moves, `li`, `rdtsc`, `nop`.
-    pub alu_cost: u64,
-    /// Cycles for multiplication.
-    pub mul_cost: u64,
-    /// Cycles for branches (taken or not).
-    pub branch_cost: u64,
-    /// Retire cost of a store (the cache access happens asynchronously
-    /// through a store buffer; only state effects are modelled).
-    pub store_cost: u64,
-    /// Base cost of a `flush`, added to the hierarchy's flush latency.
-    pub flush_cost: u64,
     /// Model instruction fetch through the L1I (misses stall the core).
     pub model_fetch: bool,
     /// Safety cap on totally retired instructions per [`Machine::run`].
@@ -32,15 +33,7 @@ pub struct CpuConfig {
 
 impl Default for CpuConfig {
     fn default() -> Self {
-        CpuConfig {
-            alu_cost: 1,
-            mul_cost: 3,
-            branch_cost: 1,
-            store_cost: 1,
-            flush_cost: 1,
-            model_fetch: true,
-            max_instructions: 200_000_000,
-        }
+        CpuConfig { model_fetch: true, max_instructions: 200_000_000 }
     }
 }
 
@@ -211,12 +204,12 @@ impl fmt::Debug for Machine {
 }
 
 impl Machine {
-    /// Builds a machine over a fresh hierarchy with default CPU timing.
+    /// Builds a machine over a fresh hierarchy with default CPU options.
     pub fn new(hierarchy: HierarchyConfig) -> Self {
         Self::with_cpu_config(hierarchy, CpuConfig::default())
     }
 
-    /// Builds a machine with explicit CPU timing.
+    /// Builds a machine with explicit CPU options.
     pub fn with_cpu_config(hierarchy: HierarchyConfig, cfg: CpuConfig) -> Self {
         let n = hierarchy.n_cores;
         Machine {
@@ -403,6 +396,22 @@ impl Machine {
         true
     }
 
+    /// Runs until no core is runnable, one [`Machine::step`] at a time,
+    /// and calls `sample` whenever [`Machine::now`] reaches the next
+    /// sample point (the first `every` cycles after the call, then every
+    /// `every` cycles), and once more at the end. Like `step`, it has no
+    /// instruction cap.
+    pub fn run_sampled(&mut self, every: u64, mut sample: impl FnMut(&Machine)) {
+        let mut next = self.now().raw() + every;
+        while self.step() {
+            if self.now().raw() >= next {
+                sample(self);
+                next += every;
+            }
+        }
+        sample(self);
+    }
+
     /// Runs until every core halts (or the instruction cap trips), on
     /// exactly the schedule of repeated [`Machine::step`] calls: the
     /// earliest-ready core runs until another core becomes the earliest,
@@ -506,7 +515,7 @@ impl Machine {
                     k += 1;
                 }
                 pc_index += k as usize;
-                ready_at += k * cfg.alu_cost;
+                ready_at += k * ALU_COST;
                 retired += k;
                 steps += k;
                 *retire_fast_dispatches += 1;
@@ -525,7 +534,7 @@ impl Machine {
                 Instr::LoadImm { rd, imm } => {
                     core.regs.write(rd, imm as u64);
                     retire(prefetcher, c, pc, &instr, t);
-                    cfg.alu_cost
+                    ALU_COST
                 }
                 Instr::Load { rd, base, offset } => {
                     mem.end_fetch_run(c, &mut run);
@@ -586,83 +595,83 @@ impl Machine {
                         };
                         notify_access(mem, pf, prefetch_scratch, &ev);
                     }
-                    cfg.store_cost
+                    STORE_COST
                 }
                 Instr::Add { rd, a, b } => {
                     let v = core.regs.read(a).wrapping_add(core.regs.value(b));
                     core.regs.write(rd, v);
                     retire(prefetcher, c, pc, &instr, t);
-                    cfg.alu_cost
+                    ALU_COST
                 }
                 Instr::Sub { rd, a, b } => {
                     let v = core.regs.read(a).wrapping_sub(core.regs.value(b));
                     core.regs.write(rd, v);
                     retire(prefetcher, c, pc, &instr, t);
-                    cfg.alu_cost
+                    ALU_COST
                 }
                 Instr::Mul { rd, a, b } => {
                     let v = core.regs.read(a).wrapping_mul(core.regs.value(b));
                     core.regs.write(rd, v);
                     retire(prefetcher, c, pc, &instr, t);
-                    cfg.mul_cost
+                    MUL_COST
                 }
                 Instr::Shl { rd, a, b } => {
                     let sh = core.regs.value(b) & 63;
                     let v = core.regs.read(a).wrapping_shl(sh as u32);
                     core.regs.write(rd, v);
                     retire(prefetcher, c, pc, &instr, t);
-                    cfg.alu_cost
+                    ALU_COST
                 }
                 Instr::Shr { rd, a, b } => {
                     let sh = core.regs.value(b) & 63;
                     let v = core.regs.read(a).wrapping_shr(sh as u32);
                     core.regs.write(rd, v);
                     retire(prefetcher, c, pc, &instr, t);
-                    cfg.alu_cost
+                    ALU_COST
                 }
                 Instr::And { rd, a, b } => {
                     let v = core.regs.read(a) & core.regs.value(b);
                     core.regs.write(rd, v);
                     retire(prefetcher, c, pc, &instr, t);
-                    cfg.alu_cost
+                    ALU_COST
                 }
                 Instr::Or { rd, a, b } => {
                     let v = core.regs.read(a) | core.regs.value(b);
                     core.regs.write(rd, v);
                     retire(prefetcher, c, pc, &instr, t);
-                    cfg.alu_cost
+                    ALU_COST
                 }
                 Instr::Xor { rd, a, b } => {
                     let v = core.regs.read(a) ^ core.regs.value(b);
                     core.regs.write(rd, v);
                     retire(prefetcher, c, pc, &instr, t);
-                    cfg.alu_cost
+                    ALU_COST
                 }
                 Instr::Mov { rd, rs } => {
                     let v = core.regs.read(rs);
                     core.regs.write(rd, v);
                     retire(prefetcher, c, pc, &instr, t);
-                    cfg.alu_cost
+                    ALU_COST
                 }
                 Instr::Flush { base, offset } => {
                     mem.end_fetch_run(c, &mut run);
                     let addr = Addr::new(core.regs.read(base).wrapping_add(offset as u64));
                     let lat = mem.flush(addr, t);
-                    cfg.flush_cost + lat
+                    FLUSH_COST + lat
                 }
                 Instr::Rdtsc { rd } => {
                     core.regs.write(rd, t.raw());
                     retire(prefetcher, c, pc, &instr, t);
-                    cfg.alu_cost
+                    ALU_COST
                 }
-                Instr::Nop => cfg.alu_cost,
+                Instr::Nop => ALU_COST,
                 Instr::Jmp { target } => {
                     next = target;
-                    cfg.branch_cost
+                    BRANCH_COST
                 }
                 Instr::Bnz { cond, target } => {
                     let r = core.regs.read(cond);
-                    let mut cost = cfg.branch_cost;
+                    let mut cost = BRANCH_COST;
                     if r != 0 {
                         next = target;
                         // A counted register-only loop: skip `k` trips.
@@ -674,7 +683,7 @@ impl Machine {
                             counted_step(body, cond).filter(|_| on_run(target) && on_run(pc_index));
                         if let Some(step) = step {
                             let len = body.len() as u64 + 1;
-                            let trip = (len - 1) * cfg.alu_cost + cfg.branch_cost;
+                            let trip = (len - 1) * ALU_COST + BRANCH_COST;
                             // Trips until `cond` reaches 0, the exiting
                             // one included. Trip i's `bnz` starts at
                             // t + i·trip; `trip.max(1)` only skips fewer
@@ -711,13 +720,13 @@ impl Machine {
                     if core.regs.read(a) == core.regs.read(b) {
                         next = target;
                     }
-                    cfg.branch_cost
+                    BRANCH_COST
                 }
                 Instr::Blt { a, b, target } => {
                     if core.regs.read(a) < core.regs.read(b) {
                         next = target;
                     }
-                    cfg.branch_cost
+                    BRANCH_COST
                 }
                 Instr::Halt => {
                     core.state = CoreState::Halted;
@@ -1085,7 +1094,7 @@ mod tests {
             |(hierarchy, program, prefetcher): Input, cores: usize, model_fetch: bool, cap: u64| {
                 let mut m = Machine::with_cpu_config(
                     hierarchy(cores).unwrap(),
-                    CpuConfig { model_fetch, max_instructions: cap, ..CpuConfig::default() },
+                    CpuConfig { model_fetch, max_instructions: cap },
                 );
                 m.trace_mut().set_enabled(true);
                 for c in 0..cores {
@@ -1177,6 +1186,64 @@ mod tests {
         assert_eq!(stats(m.mem().l1d(0).stats()), [6, 0, 6, 1200, 8, 0, 0, 0, 6, 0, 0, 4]);
         assert_eq!(stats(m.mem().l2().stats()), [17, 4, 13, 2600, 6, 3, 3, 2, 6, 0, 0, 2]);
         assert_eq!(m.mem().l1i(0).resident_lines(), vec![Addr::new(0x8000), Addr::new(0x8400)]);
+    }
+
+    #[test]
+    fn run_sampled_takes_the_step_loop() {
+        type Sample = (Cycle, u64, prefender_core::PrefenderStats, usize);
+        let sample = |m: &Machine| {
+            let pf = m.prefetcher(0).unwrap();
+            (m.now(), m.core(0).retired(), pf.stats(), pf.protected_count())
+        };
+        // The loop `run_sampled` replaces.
+        let stepped = |m: &mut Machine, every: u64, out: &mut Vec<Sample>| {
+            let mut next = m.now().raw() + every;
+            while m.step() {
+                if m.now().raw() >= next {
+                    out.push(sample(m));
+                    next += every;
+                }
+            }
+            out.push(sample(m));
+        };
+        for cores in [1, 2] {
+            for every in [150, 1 << 40] {
+                let build = || {
+                    let mut m = Machine::new(HierarchyConfig::tiny(cores).unwrap());
+                    m.trace_mut().set_enabled(true);
+                    for c in 0..cores {
+                        m.set_prefetcher(c, full());
+                    }
+                    m
+                };
+                let (mut sampled, mut step) = (build(), build());
+                let (mut got, mut want) = (Vec::new(), Vec::new());
+                // Two phases, so the second starts its sample points late.
+                for trips in [3, 5] {
+                    for c in 0..cores {
+                        sampled.load_program(c, counted_loops(trips + 2 * c));
+                        step.load_program(c, counted_loops(trips + 2 * c));
+                    }
+                    sampled.run_sampled(every, |m| got.push(sample(m)));
+                    stepped(&mut step, every, &mut want);
+                }
+                let case = format!("{cores} cores, every {every}");
+                assert_eq!(got, want, "{case}");
+                if every == 150 {
+                    assert!(got.len() > 2, "{case}: {} samples", got.len());
+                } else {
+                    assert_eq!(got.len(), 2, "{case}: only each phase's final sample");
+                }
+                assert_eq!(got.last().unwrap().0, sampled.now(), "{case}");
+                assert_eq!(sampled.trace().entries(), step.trace().entries(), "{case}");
+                for c in 0..cores {
+                    let (a, b) = (sampled.core(c), step.core(c));
+                    assert_eq!((a.ready_at(), a.retired()), (b.ready_at(), b.retired()), "{case}");
+                    assert_eq!(a.regs(), b.regs(), "{case}");
+                    assert_eq!(sampled.mem().l1d(c).stats(), step.mem().l1d(c).stats(), "{case}");
+                }
+            }
+        }
     }
 
     #[test]

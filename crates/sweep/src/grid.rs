@@ -139,7 +139,7 @@ pub struct DefensePoint {
 
 impl DefensePoint {
     /// The paper's default: 32 access buffers.
-    pub fn new(config: DefenseConfig) -> Self {
+    pub const fn new(config: DefenseConfig) -> Self {
         DefensePoint { config, buffers: 32 }
     }
 

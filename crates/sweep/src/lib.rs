@@ -41,7 +41,6 @@ mod checkpoint;
 mod engine;
 mod grid;
 mod lease;
-pub mod perf;
 mod record;
 mod scenario;
 mod serve;
@@ -62,11 +61,19 @@ pub use lease::{
     WorkEvent, WorkOptions, WorkSummary, LEASE_DIR,
 };
 pub use record::{ScenarioResult, REPORT_SCHEMA_VERSION};
-pub use scenario::{basic_from_tag, basic_tag, run_scenario_with, Payload, Scenario};
+pub use scenario::{
+    basic_from_tag, basic_tag, run_scenario_with, workload_machine, Payload, Scenario,
+};
 pub use serve::{serve_campaign, ServeOptions, ServeSummary, WorkerReport};
 pub use shard::{
     decode_shard, encode_shard, fnv1a64, shard_file_name, ShardHeader, ShardPlan, SHARD_MAGIC,
 };
+
+/// `prefender_attacks::prefender_stats`, under the path the benchmark
+/// harness imports it from.
+pub mod perf {
+    pub use prefender_attacks::prefender_stats;
+}
 
 // The axes a grid is built from, re-exported so callers need only this
 // crate.

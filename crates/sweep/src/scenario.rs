@@ -304,14 +304,28 @@ pub(crate) fn catalog_workload(name: &str) -> Option<Workload> {
     prefender_workloads::all().into_iter().find(|w| w.name() == name)
 }
 
-fn run_workload_scenario(s: &Scenario, name: &str, seed: u64) -> (ScenarioResult, ObsCounters) {
-    let w = catalog_workload(name)
-        .unwrap_or_else(|| panic!("scenario {}: unknown workload `{name}`", s.id()));
-    let mut m = Machine::new(s.hierarchy.config(1));
-    if let Some(p) = s.defense.config.build_prefetcher(64, 4096, s.defense.buffers, s.basic) {
+/// The one-core machine `w` runs on under `defense` over `basic`, on
+/// `hierarchy`: the prefetcher attached and the workload installed, not
+/// yet run. Every workload cell, the `sweep` grids' and the paper
+/// tables' alike, is built here.
+pub fn workload_machine(
+    w: &Workload,
+    defense: DefensePoint,
+    basic: Basic,
+    hierarchy: Hierarchy,
+) -> Machine {
+    let mut m = Machine::new(hierarchy.config(1));
+    if let Some(p) = defense.config.build_prefetcher(64, 4096, defense.buffers, basic) {
         m.set_prefetcher(0, p);
     }
     w.install(&mut m);
+    m
+}
+
+fn run_workload_scenario(s: &Scenario, name: &str, seed: u64) -> (ScenarioResult, ObsCounters) {
+    let w = catalog_workload(name)
+        .unwrap_or_else(|| panic!("scenario {}: unknown workload `{name}`", s.id()));
+    let mut m = workload_machine(&w, s.defense, s.basic, s.hierarchy);
     let truncated = m.run().truncated;
     let result =
         ScenarioResult { truncated, ..ScenarioResult::from_metrics(s, seed, &RunMetrics::of(&m)) };

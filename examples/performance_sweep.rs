@@ -8,42 +8,30 @@
 
 use prefender::attacks::Basic;
 use prefender::stats::{speedup_pct, Table};
-use prefender::{
-    spec2006, BasicPrefetcher, DefenseConfig, HierarchyConfig, Machine, Prefender,
-    StridePrefetcher, Workload,
-};
+use prefender::sweep::{workload_machine, DefensePoint, Hierarchy};
+use prefender::{spec2006, DefenseConfig, Workload};
 
-fn run_once(w: &Workload, prefetcher: Option<Prefender>) -> u64 {
-    let mut m = Machine::new(HierarchyConfig::paper_baseline(1).expect("valid baseline"));
-    if let Some(p) = prefetcher {
-        m.set_prefetcher(0, p);
-    }
-    w.install(&mut m);
-    m.run().cycles
+fn run_once(w: &Workload, defense: DefenseConfig, basic: Basic) -> u64 {
+    workload_machine(w, DefensePoint::new(defense), basic, Hierarchy::Paper).run().cycles
 }
 
-type BuildFn = fn() -> Option<Prefender>;
-
 fn main() {
-    let configs: Vec<(&str, BuildFn)> = vec![
-        ("Tagged", || DefenseConfig::None.build_prefetcher(64, 4096, 32, Basic::Tagged)),
-        ("Stride", || DefenseConfig::None.build_prefetcher(64, 4096, 32, Basic::Stride)),
-        ("Prefender", || Some(Prefender::builder(64, 4096).build())),
-        ("Prefender(Stride)", || {
-            let stride = BasicPrefetcher::Stride(StridePrefetcher::default_config());
-            Some(Prefender::builder(64, 4096).basic(stride).build())
-        }),
+    let configs = [
+        ("Tagged", DefenseConfig::None, Basic::Tagged),
+        ("Stride", DefenseConfig::None, Basic::Stride),
+        ("Prefender", DefenseConfig::Full, Basic::None),
+        ("Prefender(Stride)", DefenseConfig::Full, Basic::Stride),
     ];
 
     let mut headers = vec!["Benchmark".to_string(), "Base cycles".to_string()];
-    headers.extend(configs.iter().map(|(n, _)| n.to_string()));
+    headers.extend(configs.iter().map(|(n, ..)| n.to_string()));
     let mut table = Table::new(headers);
 
     for w in spec2006() {
-        let base = run_once(&w, None);
+        let base = run_once(&w, DefenseConfig::None, Basic::None);
         let mut cells = vec![w.name().to_string(), base.to_string()];
-        for (_, build) in &configs {
-            let cycles = run_once(&w, build());
+        for &(_, defense, basic) in &configs {
+            let cycles = run_once(&w, defense, basic);
             cells.push(format!("{:+.2}%", speedup_pct(base as f64, cycles as f64)));
         }
         table.row(cells);
