@@ -17,7 +17,11 @@ the change's pair wins (ties count for neither side) and the verdict:
               differ by more than the parent's quartile distance;
   worse       the change's median is worse than the parent's by more
               than the metric's bound;
-  -           neither.
+  unresolved  neither, and the runs spread too widely to call the metric
+              unchanged: either side's quartile distance exceeds the
+              metric's bound times the parent's median, and not every
+              change run reads better than every parent run;
+  -           none of these.
 
 With several commits on one side, `--commits` picks the pair to compare
 (a prefix of each commit hash is enough).
@@ -88,10 +92,18 @@ def main():
             q = {s: quartiles(v) for s, v in side.items()}
             spread = q["parent"][1] - q["parent"][0]
             gain = (med["change"] - med["parent"]) * (1 if higher else -1)
+            limit = m["bound"] * abs(med["parent"])
+            wide = max(q[s][1] - q[s][0] for s in q) > limit
+            # Every change run beats every parent run: the change's worst
+            # run beats the parent's best.
+            worst, best = (min, max) if higher else (max, min)
+            sweeps = (worst(side["change"]) - best(side["parent"])) * (1 if higher else -1) > 0
             if wins * 10 >= 9 * len(pairs) and gain > spread:
                 verdict = "gain"
-            elif -gain > m["bound"] * abs(med["parent"]):
+            elif -gain > limit:
                 verdict = "worse"
+            elif wide and not sweeps:
+                verdict = "unresolved"
             else:
                 verdict = "-"
             ratio = med["change"] / med["parent"] if med["parent"] else float("nan")

@@ -40,11 +40,6 @@ impl AttackOutcome {
     pub fn defended(&self) -> bool {
         !self.leaked
     }
-
-    /// The latency measured at `index`, if it was probed.
-    pub fn latency_at(&self, index: usize) -> Option<u64> {
-        self.samples.iter().find(|s| s.index == index).map(|s| s.latency)
-    }
 }
 
 impl fmt::Display for AttackOutcome {
@@ -132,8 +127,6 @@ mod tests {
         let o = classify(series(&[(52, 1), (50, 2), (51, 3)]), 100, true, 50);
         let idx: Vec<usize> = o.samples.iter().map(|s| s.index).collect();
         assert_eq!(idx, vec![50, 51, 52]);
-        assert_eq!(o.latency_at(51), Some(3));
-        assert_eq!(o.latency_at(99), None);
     }
 
     #[test]

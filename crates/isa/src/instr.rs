@@ -226,11 +226,6 @@ impl Instr {
         }
     }
 
-    /// `true` for instructions that access the data cache.
-    pub fn is_memory(&self) -> bool {
-        matches!(self, Instr::Load { .. } | Instr::Store { .. } | Instr::Flush { .. })
-    }
-
     /// `true` for control-flow instructions.
     pub fn is_branch(&self) -> bool {
         matches!(
@@ -302,9 +297,6 @@ mod tests {
 
     #[test]
     fn classification() {
-        assert!(Instr::Load { rd: Reg::R1, base: Reg::R2, offset: 8 }.is_memory());
-        assert!(Instr::Flush { base: Reg::R2, offset: 0 }.is_memory());
-        assert!(!Instr::Nop.is_memory());
         assert!(Instr::Jmp { target: 0 }.is_branch());
         assert_eq!(Instr::Bnz { cond: Reg::R1, target: 7 }.branch_target(), Some(7));
         assert_eq!(Instr::Nop.branch_target(), None);

@@ -317,16 +317,6 @@ impl LeakageResult {
             ));
         }
     }
-
-    /// Leakage as a fraction of the secret's entropy (`0` = sealed,
-    /// `1` = the channel carries the whole secret).
-    pub fn leakage_fraction(&self) -> f64 {
-        if self.secret_entropy_bits == 0.0 {
-            0.0
-        } else {
-            self.mi_bits / self.secret_entropy_bits
-        }
-    }
 }
 
 #[cfg(test)]
@@ -524,7 +514,6 @@ mod tests {
         assert_eq!(r.sims, 8);
         assert!((r.mi_bits - 2.0).abs() < 0.1, "expected ~2 bits, got {}", r.mi_bits);
         assert!((r.ml_accuracy - 1.0).abs() < 1e-9);
-        assert!(r.leakage_fraction() > 0.95);
         assert!(r.metrics.cycles > 0 && r.metrics.instructions > 0);
         assert!(!r.latency_hist.is_empty());
     }

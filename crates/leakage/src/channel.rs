@@ -446,23 +446,6 @@ impl Channel {
         rank_sum / total as f64
     }
 
-    /// A compact per-input summary: `(input, trials, most frequent symbol
-    /// if any)` — handy for debugging a campaign.
-    pub fn input_summary(&self) -> Vec<(usize, u64, Option<u64>)> {
-        (0..self.n_inputs)
-            .map(|i| {
-                let trials = self.input_trials(i);
-                let top = self.counts[i]
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &c)| c > 0)
-                    .max_by_key(|&(_, &c)| c)
-                    .map(|(j, _)| self.symbols[j]);
-                (i, trials, top)
-            })
-            .collect()
-    }
-
     /// The raw count for `(input, symbol)`.
     pub fn count(&self, input: usize, symbol: u64) -> u64 {
         match self.symbols.binary_search(&symbol) {
@@ -616,7 +599,6 @@ mod tests {
         assert_eq!(c.count(0, 42), 0);
         assert_eq!(c.input_trials(0), 2);
         assert_eq!(c.triples(), vec![(0, 100, 2), (1, 5, 1)]);
-        assert_eq!(c.input_summary()[0], (0, 2, Some(100)));
     }
 
     #[test]

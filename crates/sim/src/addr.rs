@@ -79,17 +79,6 @@ impl Addr {
         self.0.checked_add_signed(delta).map(Addr)
     }
 
-    /// Offsets the address by a signed byte amount, saturating at the
-    /// boundaries of the address space.
-    #[inline]
-    pub fn saturating_offset(self, delta: i64) -> Addr {
-        if delta >= 0 {
-            Addr(self.0.saturating_add(delta as u64))
-        } else {
-            Addr(self.0.saturating_sub(delta.unsigned_abs()))
-        }
-    }
-
     /// Absolute distance in bytes between two addresses.
     #[inline]
     pub fn distance(self, other: Addr) -> u64 {
@@ -176,12 +165,6 @@ mod tests {
         assert_eq!(Addr::new(100).offset(-101), None);
         assert_eq!(Addr::new(u64::MAX).offset(1), None);
         assert_eq!(Addr::new(0x1000).offset(0x200), Some(Addr::new(0x1200)));
-    }
-
-    #[test]
-    fn saturating_offset_clamps() {
-        assert_eq!(Addr::new(5).saturating_offset(-10), Addr::ZERO);
-        assert_eq!(Addr::new(u64::MAX).saturating_offset(3), Addr::new(u64::MAX));
     }
 
     #[test]

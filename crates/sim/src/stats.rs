@@ -85,11 +85,6 @@ impl CacheStats {
         }
     }
 
-    /// Demand miss rate in `[0, 1]`; `None` when no accesses happened.
-    pub fn miss_rate(&self) -> Option<f64> {
-        self.hit_rate().map(|h| 1.0 - h)
-    }
-
     /// Prefetch accuracy: useful fills / total fills; `None` without fills.
     pub fn prefetch_accuracy(&self) -> Option<f64> {
         if self.prefetch_fills == 0 {
@@ -155,7 +150,6 @@ mod tests {
     fn rates_empty() {
         let s = CacheStats::new();
         assert_eq!(s.hit_rate(), None);
-        assert_eq!(s.miss_rate(), None);
         assert_eq!(s.prefetch_accuracy(), None);
     }
 
@@ -171,7 +165,6 @@ mod tests {
             ..CacheStats::default()
         };
         assert!((s.hit_rate().unwrap() - 0.7).abs() < 1e-12);
-        assert!((s.miss_rate().unwrap() - 0.3).abs() < 1e-12);
         assert!((s.prefetch_accuracy().unwrap() - 0.5).abs() < 1e-12);
     }
 

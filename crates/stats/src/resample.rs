@@ -58,11 +58,6 @@ impl SplitMix64 {
         out
     }
 
-    /// A uniform draw in `[0, 1)` with 53 bits of precision.
-    pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
     /// An unbiased uniform draw in `[0, n)`, by rejection.
     ///
     /// # Panics
@@ -242,8 +237,6 @@ mod tests {
         let ys: Vec<u64> = (0..8).map(|_| b.next_u64()).collect();
         assert_eq!(xs, ys);
         assert_ne!(xs[0], xs[1]);
-        let f = SplitMix64::new(9).next_f64();
-        assert!((0.0..1.0).contains(&f));
     }
 
     #[test]

@@ -53,11 +53,6 @@ impl Series {
         self.points.is_empty()
     }
 
-    /// The y value at the first point whose x equals `x`.
-    pub fn y_at(&self, x: f64) -> Option<f64> {
-        self.points.iter().find(|(px, _)| *px == x).map(|&(_, y)| y)
-    }
-
     /// CSV rows `name,x,y`.
     pub fn to_csv(&self) -> String {
         let mut s = String::new();
@@ -104,8 +99,6 @@ mod tests {
         assert!(s.is_empty());
         s.push(1.0, 10.0).push(2.0, 20.0);
         assert_eq!(s.len(), 2);
-        assert_eq!(s.y_at(2.0), Some(20.0));
-        assert_eq!(s.y_at(3.0), None);
     }
 
     #[test]

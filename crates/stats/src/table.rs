@@ -34,11 +34,6 @@ impl Table {
         self
     }
 
-    /// Number of data rows.
-    pub fn n_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Renders with space-aligned columns and a separator under the header.
     pub fn render(&self) -> String {
         let n_cols = self
@@ -126,7 +121,6 @@ mod tests {
         let mut t = Table::new(vec!["A".into()]);
         t.row(vec!["1".into(), "2".into(), "3".into()]);
         t.row(vec![]);
-        assert_eq!(t.n_rows(), 2);
         assert!(t.render().contains('3'));
     }
 

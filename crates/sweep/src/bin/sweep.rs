@@ -363,10 +363,17 @@ fn args_from(given: &Given) -> Result<Args, String> {
     };
     let buffers: Vec<usize> =
         parse_list(given.value("--buffers").unwrap_or("32"), "buffer count", |s| s.parse().ok())?;
-    grid.defenses = configs
-        .iter()
-        .flat_map(|&config| buffers.iter().map(move |&buffers| DefensePoint { config, buffers }))
-        .collect();
+    // `base` and `st` ignore the count, and their tags drop it: each gets
+    // one point, at the first count, so no scenario id repeats.
+    grid.defenses.clear();
+    for config in configs {
+        for &buffers in &buffers {
+            let point = DefensePoint { config, buffers };
+            if !grid.defenses.iter().any(|p| p.tag() == point.tag()) {
+                grid.defenses.push(point);
+            }
+        }
+    }
     if let Some(list) = given.value("--basics") {
         grid.basics = parse_list(list, "basic prefetcher", basic_from_tag)?;
     }
@@ -901,6 +908,20 @@ mod tests {
         assert_eq!((args.threads, args.campaign_seed), (3, 7));
         let err = parse("--bogus").unwrap_err();
         assert!(err.contains("unknown option `--bogus`"), "{err}");
+    }
+
+    #[test]
+    fn buffer_counts_give_bufferless_defenses_one_point() {
+        let line =
+            "--attacks none --workloads 999.specrand --defenses base,st,stat --buffers 16,32";
+        let grid = parse(line).expect("valid").grid;
+        let tags: Vec<String> = grid.defenses.iter().map(|d| d.tag()).collect();
+        assert_eq!(tags, ["base", "st", "stat16", "stat32"]);
+        assert_eq!(grid.defenses[0].buffers, 16, "the first listed count");
+        let mut ids: Vec<String> = grid.enumerate().iter().map(|s| s.id()).collect();
+        ids.sort();
+        ids.dedup();
+        assert_eq!(ids.len(), 4, "{ids:?}");
     }
 
     #[test]

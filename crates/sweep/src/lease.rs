@@ -84,8 +84,10 @@ pub struct LeaseConfig {
 }
 
 impl Default for LeaseConfig {
+    /// A 5 s TTL, renewed every 1.25 s: the `sweep work` and `serve`
+    /// default.
     fn default() -> Self {
-        LeaseConfig { ttl_ms: 5000, renew_ms: 1000 }
+        Self::with_ttl_ms(5000)
     }
 }
 

@@ -85,11 +85,6 @@ impl Cfg {
     pub fn blocks(&self) -> &[BasicBlock] {
         &self.blocks
     }
-
-    /// The block containing instruction `idx`.
-    pub fn block_of(&self, idx: usize) -> usize {
-        self.blocks.partition_point(|b| b.start <= idx) - 1
-    }
 }
 
 #[cfg(test)]
@@ -116,9 +111,6 @@ mod tests {
         assert_eq!(cfg.blocks()[0].succs, vec![1]);
         assert_eq!(cfg.blocks()[1].succs, vec![1, 2]);
         assert_eq!(cfg.blocks()[2].succs, Vec::<usize>::new());
-        assert_eq!(cfg.block_of(0), 0);
-        assert_eq!(cfg.block_of(2), 1);
-        assert_eq!(cfg.block_of(3), 2);
     }
 
     #[test]
