@@ -5,7 +5,7 @@ use prefender_stats::{Series, Table};
 use prefender_sweep::{workload_machine, Basic, DefenseConfig, DefensePoint, Hierarchy};
 use prefender_workloads::{spec2006, Workload};
 
-use crate::tables::{at32_defenses, columns, workload_results, BASE};
+use crate::tables::{columns, workload_results, AT32_DEFENSES, BASE};
 
 /// Figure 10 data: per-benchmark total L1D demand-miss latency, normalized
 /// to the no-prefetcher baseline, for each configuration.
@@ -70,8 +70,8 @@ fn spec2006_only(only: Option<&[&str]>) -> Vec<Workload> {
 /// Regenerates Figure 10 over the given benchmark names (default: all 12).
 pub fn figure10(only: Option<&[&str]>) -> Figure10 {
     let workloads = spec2006_only(only);
-    let cols = columns(&at32_defenses());
-    let results = workload_results(&workloads, &at32_defenses(), &Basic::ALL);
+    let cols = columns(&AT32_DEFENSES);
+    let results = workload_results(&workloads, &AT32_DEFENSES, &Basic::ALL);
     let rows = workloads
         .iter()
         .zip(&results)
@@ -164,7 +164,7 @@ mod tests {
 
     #[test]
     fn fig10_column_count_matches_paper() {
-        assert_eq!(columns(&at32_defenses()).len(), FIG10_CONFIGS.len());
+        assert_eq!(columns(&AT32_DEFENSES).len(), FIG10_CONFIGS.len());
     }
 
     #[test]

@@ -134,9 +134,8 @@ fn table45_defenses(rp: bool) -> Vec<DefensePoint> {
 
 /// The baseline, ST+AT and full PREFENDER at 32 buffers: the defenses of
 /// Table VI and Figure 10.
-pub(crate) fn at32_defenses() -> [DefensePoint; 3] {
-    [BASE, DefensePoint::new(DefenseConfig::StAt), DefensePoint::new(DefenseConfig::Full)]
-}
+pub(crate) const AT32_DEFENSES: [DefensePoint; 3] =
+    [BASE, DefensePoint::new(DefenseConfig::StAt), DefensePoint::new(DefenseConfig::Full)];
 
 /// Table IV: SPEC 2006 speedups *without* the Record Protector.
 pub fn table4() -> SpeedupTable {
@@ -151,7 +150,7 @@ pub fn table5() -> SpeedupTable {
 /// Table VI: SPEC 2017 speedups, ST+AT and full PREFENDER at 32 buffers
 /// over each basic prefetcher.
 pub fn table6() -> SpeedupTable {
-    build(&spec2017(), &at32_defenses())
+    build(&spec2017(), &AT32_DEFENSES)
 }
 
 #[cfg(test)]
@@ -167,7 +166,7 @@ mod tests {
         assert_eq!(cols[10].1, "P-ST+AT/64(Stride)");
         let cols = columns(&table45_defenses(true));
         assert_eq!(cols[0].1, "Prefender/16");
-        let labels: Vec<String> = columns(&at32_defenses()).into_iter().map(|c| c.1).collect();
+        let labels: Vec<String> = columns(&AT32_DEFENSES).into_iter().map(|c| c.1).collect();
         assert_eq!(labels.len(), 8, "Table VI has 8 data columns");
         assert_eq!(labels[5..], ["Stride", "P-ST+AT/32(Stride)", "Prefender/32(Stride)"]);
         assert_eq!(label(BASE, Basic::None), "Baseline");
@@ -195,12 +194,11 @@ mod tests {
     fn slice_of_table6_gains_from_the_scale_tracker() {
         let parest: Vec<_> =
             spec2017().into_iter().filter(|w| w.name() == "510.parest_r").collect();
-        let t = build(&parest, &at32_defenses());
+        let t = build(&parest, &AT32_DEFENSES);
         let gain = t.speedup("510.parest_r", "P-ST+AT/32").unwrap();
         assert!(gain > 0.0, "PREFENDER must speed up scaled gathers: {gain}");
-        let (cell, _) =
-            columns(&at32_defenses()).into_iter().find(|c| c.1 == "P-ST+AT/32").unwrap();
-        let results = workload_results(&parest, &at32_defenses(), &Basic::ALL);
+        let (cell, _) = columns(&AT32_DEFENSES).into_iter().find(|c| c.1 == "P-ST+AT/32").unwrap();
+        let results = workload_results(&parest, &AT32_DEFENSES, &Basic::ALL);
         assert!(results[0][cell].st_prefetches > 0, "the ST must have fired");
     }
 }
