@@ -8,7 +8,7 @@ use prefender_stats::{speedup_pct, Table, Xoshiro256};
 use prefender_sweep::{parallel_map, parallel_map_2d, Basic, DefenseConfig, DefensePoint};
 use prefender_workloads::spec2006;
 
-use crate::tables::{workload_results, BASE};
+use crate::perf::{workload_results, BASE};
 
 /// Workloads used by the fast ablation sweeps (one per idiom family).
 const ABLATION_WORKLOADS: [&str; 4] = ["462.libquantum", "429.mcf", "483.xalancbmk", "445.gobmk"];

@@ -1,11 +1,10 @@
 //! Figures 10, 11 and 12: miss latency, prefetch counts, protected buffers.
 
-use prefender_core::Prefender;
 use prefender_stats::{Series, Table};
-use prefender_sweep::{workload_machine, Basic, DefenseConfig, DefensePoint, Hierarchy};
+use prefender_sweep::{Basic, DefenseConfig, DefensePoint};
 use prefender_workloads::{spec2006, Workload};
 
-use crate::tables::{columns, workload_results, AT32_DEFENSES, BASE};
+use crate::perf::{columns, protected_series, workload_results, AT32_DEFENSES, BASE};
 
 /// Figure 10 data: per-benchmark total L1D demand-miss latency, normalized
 /// to the no-prefetcher baseline, for each configuration.
@@ -139,17 +138,13 @@ pub fn figure12(only: Option<&[&str]>, buckets: usize) -> Vec<Series> {
     // Each workload's baseline cycles set its sample interval, so every
     // workload yields roughly `buckets` points.
     let baseline = workload_results(&workloads, &[BASE], &[Basic::None]);
-    let full = DefensePoint::new(DefenseConfig::Full);
     let mut out = Vec::new();
     for (w, base) in workloads.iter().zip(&baseline) {
         let every = (base[0].cycles / buckets.max(1) as u64).max(1_000);
-        let mut m = workload_machine(w, full, Basic::None, Hierarchy::Paper);
-        let mut points = Vec::new();
-        m.run_sampled(every, |m| {
-            points.push((m.now().raw(), m.prefetcher(0).map_or(0, Prefender::protected_count)));
-        });
+        let points = protected_series(w, every);
         let mut s = Series::new(w.name());
-        let total = m.now().raw().max(1) as f64;
+        // The last sample is taken at the end of the run.
+        let total = points.last().map_or(0, |p| p.0).max(1) as f64;
         for (at, protected) in points {
             s.push(at as f64 / total * 100.0, protected as f64);
         }

@@ -30,6 +30,7 @@ pub mod figures;
 pub mod forensics;
 pub mod hwcost;
 pub mod leakage;
+mod perf;
 pub mod security;
 pub mod simbench;
 pub mod tables;

@@ -1,10 +1,10 @@
 //! Tables IV, V and VI: SPEC speedup tables.
 
 use prefender_stats::{speedup_pct, Table};
-use prefender_sweep::{
-    run_sweep, Basic, DefenseConfig, DefensePoint, ScenarioResult, SweepGrid, SweepOptions,
-};
+use prefender_sweep::{Basic, DefenseConfig, DefensePoint};
 use prefender_workloads::{spec2006, spec2017, Workload};
+
+use crate::perf::{columns, workload_results, AT32_DEFENSES, BASE};
 
 /// One regenerated speedup table: headers, per-benchmark speedup rows and
 /// the average row, in percent versus the no-prefetcher baseline.
@@ -41,64 +41,6 @@ impl SpeedupTable {
     }
 }
 
-/// Runs every workload of `workloads` under `defenses × basics` on the
-/// paper hierarchy, as one workload grid on the sweep engine, and returns
-/// each workload's results in grid order: defense-major, then basic.
-///
-/// # Panics
-///
-/// Panics if a run stops at the instruction cap.
-pub(crate) fn workload_results(
-    workloads: &[Workload],
-    defenses: &[DefensePoint],
-    basics: &[Basic],
-) -> Vec<Vec<ScenarioResult>> {
-    let grid = SweepGrid {
-        workloads: workloads.iter().map(|w| w.name().to_string()).collect(),
-        defenses: defenses.to_vec(),
-        basics: basics.to_vec(),
-        ..SweepGrid::empty()
-    };
-    let results = run_sweep(&grid, &SweepOptions::default()).results;
-    for r in &results {
-        assert!(!r.truncated, "scenario {} truncated", r.id);
-    }
-    results.chunks(defenses.len() * basics.len()).map(<[_]>::to_vec).collect()
-}
-
-/// The no-prefetcher baseline every speedup is measured against.
-pub(crate) const BASE: DefensePoint = DefensePoint::new(DefenseConfig::None);
-
-/// A column label in the paper's style: `P-ST+AT/16`, `Tagged`,
-/// `Prefender/32(Stride)`.
-pub(crate) fn label(defense: DefensePoint, basic: Basic) -> String {
-    let unit = match defense.config {
-        DefenseConfig::None if basic == Basic::None => return "Baseline".into(),
-        DefenseConfig::None => return basic.to_string(),
-        DefenseConfig::StAt => "P-ST+AT".to_string(),
-        config => config.to_string(),
-    };
-    match basic {
-        Basic::None => format!("{unit}/{}", defense.buffers),
-        basic => format!("{unit}/{}({basic})", defense.buffers),
-    }
-}
-
-/// The columns over `defenses` (the baseline first) × every basic
-/// prefetcher, as each one's index into a workload's
-/// [`workload_results`] and its label: per basic prefetcher, the basic
-/// prefetcher alone (skipped for none, which is the baseline) and then
-/// each PREFENDER point over it.
-pub(crate) fn columns(defenses: &[DefensePoint]) -> Vec<(usize, String)> {
-    let mut cols = Vec::new();
-    for (b, basic) in Basic::ALL.into_iter().enumerate() {
-        for (d, &defense) in defenses.iter().enumerate().skip(usize::from(basic == Basic::None)) {
-            cols.push((d * Basic::ALL.len() + b, label(defense, basic)));
-        }
-    }
-    cols
-}
-
 fn build(workloads: &[Workload], defenses: &[DefensePoint]) -> SpeedupTable {
     let columns = columns(defenses);
     let mut headers = vec!["Benchmark".to_string()];
@@ -132,11 +74,6 @@ fn table45_defenses(rp: bool) -> Vec<DefensePoint> {
     defenses
 }
 
-/// The baseline, ST+AT and full PREFENDER at 32 buffers: the defenses of
-/// Table VI and Figure 10.
-pub(crate) const AT32_DEFENSES: [DefensePoint; 3] =
-    [BASE, DefensePoint::new(DefenseConfig::StAt), DefensePoint::new(DefenseConfig::Full)];
-
 /// Table IV: SPEC 2006 speedups *without* the Record Protector.
 pub fn table4() -> SpeedupTable {
     build(&spec2006(), &table45_defenses(false))
@@ -156,6 +93,7 @@ pub fn table6() -> SpeedupTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::perf::label;
 
     #[test]
     fn table45_column_shape() {
